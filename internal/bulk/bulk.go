@@ -47,6 +47,11 @@ type Config struct {
 	// cache). Parallelism inside Run is ignored — panel scans are
 	// single-threaded, the pool parallelizes across panels.
 	Run core.RunOptions
+
+	// testSubmitted, when set, is called after each panel is handed to
+	// the writer, with the panel index (test instrumentation: it lets a
+	// test pin a panel completion order).
+	testSubmitted func(panel int)
 }
 
 func (cfg Config) withDefaults() Config {
@@ -200,6 +205,9 @@ func Run(ctx context.Context, ix *core.Index, src QuerySource, outPath string, c
 				if err := j.submit(idx, buf); err != nil {
 					cancel()
 					return
+				}
+				if cfg.testSubmitted != nil {
+					cfg.testSubmitted(idx)
 				}
 			}
 		}(w)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lemp/internal/matrix"
@@ -227,8 +228,12 @@ func TestBulkCheckpointFreshStart(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out.lempbrs")
 	ckpt := filepath.Join(dir, "job.bulkck")
+	// One worker flushes every panel as it finishes, so the flush frontier
+	// crosses the cadence marks at panels 3, 6 and 9. With more workers a
+	// schedule that finishes panel 0 last flushes nothing until the end
+	// and rightly writes no checkpoint (TestBulkCheckpointJumpToEnd).
 	st, err := Run(context.Background(), ix, Matrix{M: q}, out, Config{
-		K: 3, PanelRows: 4, Checkpoint: ckpt, CheckpointEvery: 3,
+		K: 3, PanelRows: 4, Parallelism: 1, Checkpoint: ckpt, CheckpointEvery: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,5 +246,76 @@ func TestBulkCheckpointFreshStart(t *testing.T) {
 	}
 	if _, err := ReadResults(out); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// gateSource holds the read of panel 0 until release is closed.
+type gateSource struct {
+	QuerySource
+	release chan struct{}
+}
+
+func (g *gateSource) Panel(start, count int) (*matrix.Matrix, error) {
+	if start == 0 {
+		<-g.release
+	}
+	return g.QuerySource.Panel(start, count)
+}
+
+// TestBulkCheckpointJumpToEnd pins the schedule in which panel 0 finishes
+// last: every other panel waits in the reorder buffer, nothing is
+// flushable before the end, and the flush frontier jumps from 0 straight
+// to the last panel. No mid-run checkpoint is due then; the job must
+// still remove its checkpoint file and write the same table as a
+// one-worker run.
+func TestBulkCheckpointJumpToEnd(t *testing.T) {
+	ix, q := bulkFixture(t, 40, 200, 8, 47)
+	dir := t.TempDir()
+	const panels = 10
+	ref := filepath.Join(dir, "ref.lempbrs")
+	if _, err := Run(context.Background(), ix, Matrix{M: q}, ref, Config{K: 3, PanelRows: 4, Parallelism: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	out := filepath.Join(dir, "out.lempbrs")
+	ckpt := filepath.Join(dir, "job.bulkck")
+	src := &gateSource{QuerySource: Matrix{M: q}, release: make(chan struct{})}
+	var submitted atomic.Int32
+	cfg := Config{
+		K: 3, PanelRows: 4, Parallelism: 2, Window: panels,
+		Checkpoint: ckpt, CheckpointEvery: 3,
+	}
+	cfg.testSubmitted = func(int) {
+		if submitted.Add(1) == panels-1 {
+			close(src.release) // every panel but 0 is in: let panel 0 run
+		}
+	}
+	st, err := Run(context.Background(), ix, src, out, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Checkpoints != 0 {
+		t.Fatalf("%d checkpoints written, but nothing was flushable before the last panel", st.Checkpoints)
+	}
+	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("checkpoint left behind: %v", err)
+	}
+	rows, err := ReadResults(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows.Rows) != q.N() {
+		t.Fatalf("read back %d rows, want %d", len(rows.Rows), q.N())
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("out-of-order job wrote a different table than a one-worker run")
 	}
 }

@@ -29,6 +29,21 @@ type RunOptions struct {
 	// version, eliminating the per-call sample-tuning cost that dominates
 	// small serving batches. See TuningCache.
 	Cache *TuningCache
+	// Floors, when non-nil, makes RowTopKCtx phase 2 of a seeded
+	// retrieval. Phase 1 is HeadTopKCtx with the same queries and k on
+	// every index holding part of the catalogue; Floors[i] (indexed by
+	// the row's column in the query matrix, in the scale of the returned
+	// values) is a lower bound on row i's k-th value: the k-th largest of
+	// k real entries, so it never exceeds the true one, or -Inf for none.
+	// The scan skips the seed head HeadTopKCtx read on this index — for
+	// every row with a positive finite length; zero-length and non-finite
+	// rows, which HeadTopKCtx leaves empty, still scan everything — and
+	// starts each row's running bound θ′ at its floor instead of -Inf,
+	// pruning buckets and candidates against it from the first bucket on.
+	// It drops only entries strictly below the floor, so merging the
+	// result with this index's HeadTopKCtx rows (MergeTopK) gives the rows
+	// of an unseeded call.
+	Floors []float64
 
 	// screenApprox lets quantized screening survivors adopt their
 	// approximate dot instead of falling through to the exact kernels.
@@ -65,6 +80,9 @@ type call struct {
 	opts   Options
 	cache  *TuningCache
 	approx bool            // RunOptions.screenApprox: survivors keep approximate dots
+	floors []float64       // RunOptions.Floors; nil when unseeded
+	head   int             // leading scan buckets phase 1 already read
+	slack  float64         // absolute rounding slack subtracted from every floor
 	done   <-chan struct{} // ctx.Done(); nil for context.Background()
 	err    func() error    // ctx.Err
 	tr     *obs.Trace      // request trace; nil when untraced

@@ -46,8 +46,16 @@ func (ix *Index) RowTopKCtx(ctx context.Context, q *matrix.Matrix, k int, ro Run
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	if ro.Floors != nil {
+		if err := validateFloors(ro.Floors, q.N()); err != nil {
+			return nil, Stats{}, err
+		}
+	}
 	c := newCall(ctx, opts, ro.Cache)
 	c.approx = ro.screenApprox
+	if ro.Floors != nil {
+		c.floors, c.slack, c.head = ro.Floors, ix.floorSlack(), ix.seedHead(k)
+	}
 	st := Stats{Queries: q.N(), Buckets: len(ix.scan), PrepTime: ix.prepTime}
 	out := make(retrieval.TopK, q.N())
 	qs := prepareQueries(q)
@@ -113,6 +121,10 @@ func (ix *Index) topkWorker(c *call, qs *querySet, lo, hi, k int, s *scratch, ou
 		kk = live
 	}
 	heap := topk.New(kk)
+	// All rows of the range share one backing array (each row capped at
+	// its own length), so a call allocates per range, not per row.
+	items := make([]topk.Item, kk)
+	entries := make([]retrieval.Entry, 0, (hi-lo)*kk)
 	negInf := math.Inf(-1)
 	for qi := lo; qi < hi; qi++ {
 		origID := qs.ids[qi]
@@ -127,30 +139,42 @@ func (ix *Index) topkWorker(c *call, qs *querySet, lo, hi, k int, s *scratch, ou
 			continue
 		}
 		qdir := qs.dir(qi)
+		floor := negInf
+		if c.floors != nil {
+			floor = unitFloor(c.floors[origID], qlen, c.slack)
+		}
+		scan := ix.scan
+		if seedable(qlen) {
+			scan = scan[c.head:]
+		}
 		heap.Reset()
-		for _, b := range ix.scan {
+		for _, b := range scan {
 			if c.canceled() {
 				return
 			}
-			theta, thetaB := negInf, negInf
+			// The running bound θ′ is the heap's k-th value once the heap
+			// is full, raised to the row's seeded floor (-Inf unseeded).
+			theta, thetaB := floor, negInf
+			bounded := floor > negInf
 			if thr, ok := heap.Threshold(); ok {
-				theta = thr
-				if b.lb == 0 {
-					// Zero-length probes: products are 0.
-					if theta > 0 {
-						st.PrunedPairs++
-						break
-					}
-					thetaB = -1
-				} else {
-					thetaB = theta / b.lb
-					if thetaB > 1 {
-						st.PrunedPairs++
-						break
-					}
+				bounded = true
+				if !(thr <= theta) {
+					theta = thr
 				}
-			} else if b.lb == 0 {
+			}
+			if b.lb == 0 {
+				// Zero-length probes: products are 0.
+				if theta > 0 {
+					st.PrunedPairs++
+					break
+				}
 				thetaB = -1
+			} else if bounded {
+				thetaB = theta / b.lb
+				if thetaB > 1 {
+					st.PrunedPairs++
+					break
+				}
 			}
 			st.ProcessedPairs++
 			alg, phi := ix.resolve(c.opts, b, thetaB)
@@ -158,10 +182,11 @@ func (ix *Index) topkWorker(c *call, qs *querySet, lo, hi, k int, s *scratch, ou
 			st.Candidates += int64(len(s.cand))
 			s.work += int64(len(s.cand)) * int64(ix.r)
 			// Blocked verification (verify.go): drop tombstones, screen
-			// against the current heap floor when a sidecar is active
-			// (theta is -Inf until the heap fills, so nothing screens
-			// before the seed; Push drops values ≤ floor, so strict-<
-			// screening is byte-safe), compute the block dot products,
+			// against the running bound when a sidecar is active (theta
+			// is the seeded floor, or -Inf, until the heap fills; Push
+			// drops values ≤ the heap minimum and a floor only ever drops
+			// values strictly below it, so strict-< screening is
+			// byte-safe), compute the block dot products,
 			// then apply the heap per block result. v = (q̄ᵀp̄)·‖p‖ exactly
 			// as the scalar path computed it; in Approx mode v is the
 			// quantized estimate and the exact kernels are skipped.
@@ -173,13 +198,12 @@ func (ix *Index) topkWorker(c *call, qs *querySet, lo, hi, k int, s *scratch, ou
 				heap.Push(int(b.ids[lid]), s.vals[i]*b.lens[lid])
 			}
 		}
-		items := heap.Items()
-		row := make([]retrieval.Entry, len(items))
-		for t, it := range items {
-			row[t] = retrieval.Entry{Query: int(origID), Probe: it.ID, Value: it.Value * qlen}
+		first := len(entries)
+		for _, it := range heap.Drain(items) {
+			entries = append(entries, retrieval.Entry{Query: int(origID), Probe: it.ID, Value: it.Value * qlen})
 		}
-		st.Results += int64(len(row))
-		out[origID] = row
+		st.Results += int64(len(entries) - first)
+		out[origID] = entries[first:len(entries):len(entries)]
 	}
 }
 
@@ -213,4 +237,154 @@ func (ix *Index) zeroQueryRow(origID, kk int) []retrieval.Entry {
 		cur[best]++
 	}
 	return row
+}
+
+// validateFloors checks per-row Row-Top-k floors (RunOptions.Floors): one
+// per query row, each finite or -Inf. NaN would disable every comparison
+// and +Inf would prune a row to nothing, so both are rejected.
+func validateFloors(floors []float64, n int) error {
+	if len(floors) != n {
+		return fmt.Errorf("core: %d top-k floors for %d query rows", len(floors), n)
+	}
+	for i, f := range floors {
+		if math.IsNaN(f) || math.IsInf(f, 1) {
+			return fmt.Errorf("core: top-k floor %d is %v; floors must be finite or -Inf", i, f)
+		}
+	}
+	return nil
+}
+
+// floorSlack is the absolute amount every seeded floor is lowered by before
+// it prunes. A floor is a value computed elsewhere (another shard's seed),
+// often exactly the value of an entry this scan must keep, and bucket and
+// candidate bounds are evaluated in rounded arithmetic. A few ulps would
+// cover the dot product itself ((r+3) ulps of ‖p‖max), but INCR, COORD
+// and L2AP bound a product by square roots of differences of squared norms
+// (√(1−‖q̄_F‖²), √(1−θ_b²)), and a square root turns an absolute error of
+// (r+2) ulps into one of √((r+2)·ulp): a slack of a few ulps let L2AP drop
+// an entry tied with the floor. The slack covers four times that root. It
+// is absolute, scaled by ‖p‖max, not relative to the floor, because a
+// floor can be 0 or negative. Values within it of the floor are at most
+// re-verified, never dropped, so the results do not depend on it.
+func (ix *Index) floorSlack() float64 {
+	if len(ix.scan) == 0 {
+		return 0
+	}
+	return 4 * math.Sqrt(float64(ix.r+2)*0x1p-53) * ix.scan[0].lb
+}
+
+// unitFloor maps a row floor θ₀, given in the scale of the returned values
+// (q̄ᵀp̄·‖p‖·‖q‖), onto the unit-direction scale the scan runs in, lowered
+// by slack. Rows without a usable length (zero, which answers from
+// zeroQueryRow, or non-finite) stay unseeded.
+func unitFloor(theta, qlen, slack float64) float64 {
+	if math.IsInf(theta, -1) || !seedable(qlen) {
+		return math.Inf(-1)
+	}
+	return theta/qlen - slack
+}
+
+// seedable reports whether a query row of length qlen takes part in
+// seeding: zero-length rows answer from zeroQueryRow and non-finite ones
+// have no usable direction.
+func seedable(qlen float64) bool { return qlen > 0 && !math.IsInf(qlen, 1) }
+
+// seedHeadSize is the number of live probes the seed head holds at least:
+// 20·k, at least √live so the seed grows with the catalogue, and at most
+// an eighth of the live probes, so the seed stays a small fixed cost next
+// to the scan it prunes. On a 5000-probe shard at k = 10 that is 200.
+func seedHeadSize(live, k int) int {
+	h := 20 * k
+	if s := int(math.Ceil(math.Sqrt(float64(live)))); s > h {
+		h = s
+	}
+	return min(h, live/8)
+}
+
+// seedHead returns the number of leading scan buckets that form the seed
+// head at top-k depth k: the fewest that hold seedHeadSize(LiveN, k) live
+// probes. Tombstoned probes do not count.
+func (ix *Index) seedHead(k int) int {
+	want := seedHeadSize(ix.LiveN(), k)
+	nb, got := 0, 0
+	for nb < len(ix.scan) && got < want {
+		b := ix.scan[nb]
+		for lid := 0; lid < b.size(); lid++ {
+			if !ix.deadSkip(b, lid) {
+				got++
+			}
+		}
+		nb++
+	}
+	return nb
+}
+
+// HeadTopKCtx is the seed pass of a sharded Row-Top-k (§4.5's seed, taken
+// across shards): for every query row, the k largest exact products with
+// the live probes of the seed head — the leading scan buckets, holding
+// the longest probes. Rows are by decreasing value, with values computed
+// exactly as the scan computes them (the query's unit direction, the
+// blocked verify kernels, then the two length rescales), so a row's k-th
+// value is the k-th largest of k real entries: it can seed
+// RunOptions.Floors on any index holding part of the same catalogue, and
+// the rows complete the seeded scan of this index. Zero-length and
+// non-finite rows are left empty.
+//
+// The pass is read-only on the index: no tuning, no lazy bucket indexes,
+// only the pooled scratch. Stats reports the rows and SeedProducts; the
+// context is polled once per row.
+func (ix *Index) HeadTopKCtx(ctx context.Context, q *matrix.Matrix, k int) (retrieval.TopK, Stats, error) {
+	if q.R() != ix.r {
+		return nil, Stats{}, fmt.Errorf("core: query dimension %d does not match index dimension %d", q.R(), ix.r)
+	}
+	if k <= 0 {
+		return nil, Stats{}, fmt.Errorf("core: k must be positive, got %d", k)
+	}
+	st := Stats{Queries: q.N()}
+	out := make(retrieval.TopK, q.N())
+	live := ix.LiveN()
+	if live == 0 || q.N() == 0 {
+		return out, st, nil
+	}
+	kk := min(k, live)
+	head := ix.scan[:ix.seedHead(k)]
+
+	c := newCall(ctx, ix.opts, nil)
+	qs := prepareQueries(q)
+	s := ix.getScratch()
+	defer ix.putScratch(s)
+	heap := topk.New(kk)
+	items := make([]topk.Item, kk)
+	entries := make([]retrieval.Entry, 0, q.N()*kk)
+	var vst Stats
+	for qi := 0; qi < qs.n(); qi++ {
+		if c.canceled() {
+			return nil, st, c.ctxErr()
+		}
+		qlen := qs.lens[qi]
+		if !seedable(qlen) {
+			continue
+		}
+		qdir := qs.dir(qi)
+		heap.Reset()
+		for _, b := range head {
+			s.cand = s.cand[:0]
+			for lid := 0; lid < b.size(); lid++ {
+				s.cand = append(s.cand, int32(lid))
+			}
+			ix.compactLiveCands(b, s)
+			verifyDots(b, qdir, s, &vst)
+			for i, lid := range s.cand {
+				heap.Push(int(b.ids[lid]), s.vals[i]*b.lens[lid])
+			}
+		}
+		origID := int(qs.ids[qi])
+		first := len(entries)
+		for _, it := range heap.Drain(items) {
+			entries = append(entries, retrieval.Entry{Query: origID, Probe: it.ID, Value: it.Value * qlen})
+		}
+		out[origID] = entries[first:len(entries):len(entries)]
+	}
+	st.SeedProducts = vst.BlockVerified + vst.ScalarVerified
+	return out, st, nil
 }

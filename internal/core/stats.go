@@ -39,6 +39,12 @@ type Stats struct {
 	QuantScreened int64
 	QuantSurvived int64
 
+	// SeedProducts counts the exact products a cross-shard seed pass
+	// (Index.HeadTopKCtx) computed against the longest probes. They are
+	// not candidates: the seed runs ahead of the scan, outside the
+	// bucket pruning that Candidates measures.
+	SeedProducts int64
+
 	// IndexedBuckets counts buckets whose sorted-list (or tree, L2AP,
 	// signature) index was actually built — LEMP builds lazily (§4.2).
 	IndexedBuckets int
@@ -84,6 +90,7 @@ func (s *Stats) Add(o Stats) {
 	s.PrunedPairs += o.PrunedPairs
 	s.QuantScreened += o.QuantScreened
 	s.QuantSurvived += o.QuantSurvived
+	s.SeedProducts += o.SeedProducts
 	s.Tunings += o.Tunings
 	s.TuneCacheHits += o.TuneCacheHits
 	if o.Buckets > s.Buckets {

@@ -253,13 +253,22 @@ func TestTraceHeaderAndRing(t *testing.T) {
 	}
 	names := map[string]int{}
 	shards := map[int32]bool{}
+	parents := map[string]int32{}
+	ids := map[int32]string{}
 	for _, sp := range snap.Spans {
 		names[sp.Name]++
+		parents[sp.Name] = sp.Parent
+		ids[sp.ID] = sp.Name
 		if sp.Name == "shard" {
 			shards[sp.Shard] = true
 		}
 	}
-	for _, want := range []string{"topk", "batch.wait", "batch.retrieve", "shard", "scan", "merge"} {
+	// The top-k seed phase is one span beside the shard fan-out, under
+	// the batch's retrieval span.
+	if names["seed"] != 1 || ids[parents["seed"]] != "batch.retrieve" {
+		t.Errorf("seed span: %d recorded, parent %q; want 1 under batch.retrieve", names["seed"], ids[parents["seed"]])
+	}
+	for _, want := range []string{"topk", "batch.wait", "batch.retrieve", "seed", "shard", "scan", "merge"} {
 		if names[want] == 0 {
 			t.Errorf("span %q missing from trace (have %v)", want, names)
 		}
@@ -300,7 +309,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if rec["endpoint"] != "topk" || rec["rows"] != float64(2) {
 		t.Errorf("slow-query record wrong: %v", rec)
 	}
-	if rec["scan_ns"] == nil || rec["shards"] == nil {
+	if rec["scan_ns"] == nil || rec["shards"] == nil || rec["seed_ns"] == nil {
 		t.Errorf("slow-query record missing phase timings: %v", rec)
 	}
 	if sh, ok := rec["shards"].([]any); !ok || len(sh) != 2 {

@@ -530,7 +530,7 @@ func (s *Server) logSlowQuery(r *http.Request, endpoint string, status int, dur 
 		return
 	}
 	durNS := dur.Nanoseconds()
-	var waitNS, tuneNS, scanNS, mergeNS int64
+	var waitNS, seedNS, tuneNS, scanNS, mergeNS int64
 	type shardTime struct {
 		Shard int   `json:"shard"`
 		NS    int64 `json:"ns"`
@@ -545,6 +545,8 @@ func (s *Server) logSlowQuery(r *http.Request, endpoint string, status int, dur 
 		switch sp.Name {
 		case "batch.wait":
 			waitNS += d
+		case "seed":
+			seedNS += d
 		case "tune":
 			tuneNS += d
 		case "scan":
@@ -563,6 +565,7 @@ func (s *Server) logSlowQuery(r *http.Request, endpoint string, status int, dur 
 		slog.Int("rows", info.rows),
 		slog.Int("cache_hits", info.cacheHits),
 		slog.Int64("batch_wait_ns", waitNS),
+		slog.Int64("seed_ns", seedNS),
 		slog.Int64("tune_ns", tuneNS),
 		slog.Int64("scan_ns", scanNS),
 		slog.Int64("merge_ns", mergeNS),
@@ -929,6 +932,7 @@ type coreStats struct {
 	ScalarVerified int64  `json:"scalar_verified"`
 	ProcessedPairs int64  `json:"processed_pairs"`
 	PrunedPairs    int64  `json:"pruned_pairs"`
+	SeedProducts   int64  `json:"seed_products"`
 	Tunings        int    `json:"tunings"`
 	TuneCacheHits  int    `json:"tune_cache_hits"`
 	PrepNS         int64  `json:"prep_ns"`
@@ -985,6 +989,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			ScalarVerified: st.ScalarVerified,
 			ProcessedPairs: st.ProcessedPairs,
 			PrunedPairs:    st.PrunedPairs,
+			SeedProducts:   st.SeedProducts,
 			Tunings:        st.Tunings,
 			TuneCacheHits:  st.TuneCacheHits,
 			PrepNS:         st.PrepTime.Nanoseconds(),

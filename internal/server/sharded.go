@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -544,12 +545,14 @@ func addShardStats(dst *lemp.Stats, st lemp.Stats) {
 }
 
 // fanOut runs fn on every active shard of the view concurrently and
-// accumulates the per-shard stats; it returns the first error encountered.
-// active selects the shards to dispatch (nil = all); skipped shards are
-// counted as pruned, dispatched ones as scanned. The shard mutex serializes
-// retrieval across all index versions of a shard. The context is passed
-// down into every shard retrieval, so canceling it — client disconnect,
-// request deadline — aborts all shard scans mid-bucket.
+// accumulates the per-shard stats onto call (the stats of any work the
+// batch already did, such as a top-k seed pass); it returns the first
+// error encountered. active selects the shards to dispatch (nil = all);
+// skipped shards are counted as pruned, dispatched ones as scanned. The
+// shard mutex serializes retrieval across all index versions of a shard.
+// The context is passed down into every shard retrieval, so canceling it
+// — client disconnect, request deadline — aborts all shard scans
+// mid-bucket.
 //
 // When ctx carries a trace (obs.ContextWithSpan), each shard goroutine
 // opens its own shard-tagged span and passes it down, so the core drivers
@@ -557,11 +560,10 @@ func addShardStats(dst *lemp.Stats, st lemp.Stats) {
 // time — including the wait for the shard mutex, which is exactly the
 // serialization skew worth seeing — feeds scanHist[i] when the server has
 // wired it.
-func (v *View) fanOut(ctx context.Context, active []bool, fn func(ctx context.Context, i int, ix *lemp.Index) (lemp.Stats, error)) (lemp.Stats, error) {
+func (v *View) fanOut(ctx context.Context, active []bool, call lemp.Stats, fn func(ctx context.Context, i int, ix *lemp.Index) (lemp.Stats, error)) (lemp.Stats, error) {
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex
-		call  lemp.Stats
 		first error
 	)
 	nAct := len(v.ixs)
@@ -626,17 +628,47 @@ func (v *View) fanOut(ctx context.Context, active []bool, fn func(ctx context.Co
 // the view and merges per-shard rows into global top-k rows. Every shard
 // retrieval runs under ctx and shares the Sharded's tuning cache, so a
 // repeated (k, epoch) pays sample tuning only on its first call.
+//
+// With more than one shard the call runs in two phases. Phase 1 (the
+// seed) computes, on every shard in parallel, each row's k best exact
+// products with the shard's longest live probes — the paper's §4.5 seed,
+// taken across shards — and sets each row's floor θ₀ to the k-th largest
+// value of their union. θ₀ is the k-th best of k real entries, so it never
+// exceeds the row's true global k-th value. Phase 2 scans the rest of
+// every shard with its running bound raised to θ₀ from the first bucket
+// on; a shard alone only ever reaches its own k-th value, which is lower.
+// The floor drops only entries strictly below θ₀, so every global top-k
+// entry survives, in a phase 2 row or in a phase 1 row, and merging both
+// phases' rows gives the rows of a blind fan-out. Under cluster placement
+// θ₀ also prunes whole shards from phase 2: one whose cone bound is below
+// the floor of every row holds no top-k entry behind its head. Each
+// shard's mutex is taken separately per phase and never held while other
+// shards run, so concurrent batches cannot deadlock.
 func (v *View) TopKCtx(ctx context.Context, q *lemp.Matrix, k int) (lemp.TopKRows, lemp.Stats, error) {
-	// One spec serves every shard of the call (and validates once).
-	spec, err := lemp.NewSpec(lemp.TopK(k), lemp.WithTuningCache(v.s.tc))
-	if err != nil {
-		return nil, lemp.Stats{}, err
+	opts := []lemp.Option{lemp.TopK(k), lemp.WithTuningCache(v.s.tc)}
+	var (
+		heads  []lemp.TopKRows
+		seed   lemp.Stats
+		active []bool
+	)
+	if len(v.ixs) > 1 && k > 0 {
+		var (
+			floors []float64
+			err    error
+		)
+		if heads, floors, seed, err = v.seedTopK(ctx, q, k); err != nil {
+			return nil, seed, err
+		}
+		opts = append(opts, lemp.WithSeed(floors))
+		active = v.pruneSet(q, 0, floors)
 	}
-	// Row-Top-k cannot be shard-pruned a priori: the k-th best value is
-	// only known after the merge, so a low-bound shard may still hold a
-	// true top result. Every shard scans.
-	parts := make([]lemp.TopKRows, len(v.ixs))
-	st, err := v.fanOut(ctx, nil, func(sctx context.Context, i int, ix *lemp.Index) (lemp.Stats, error) {
+	// One spec serves every shard of the call (and validates once).
+	spec, err := lemp.NewSpec(opts...)
+	if err != nil {
+		return nil, seed, err
+	}
+	parts := make([]lemp.TopKRows, len(v.ixs), len(v.ixs)+len(heads))
+	st, err := v.fanOut(ctx, active, seed, func(sctx context.Context, i int, ix *lemp.Index) (lemp.Stats, error) {
 		res, err := ix.RetrieveSpec(sctx, q, spec)
 		if err != nil {
 			return lemp.Stats{}, err
@@ -650,7 +682,7 @@ func (v *View) TopKCtx(ctx context.Context, q *lemp.Matrix, k int) (lemp.TopKRow
 	tr, parent := obs.SpanFrom(ctx)
 	ref := tr.Start("merge", parent)
 	start := time.Now()
-	out := lemp.MergeTopK(k, parts...)
+	out := lemp.MergeTopK(k, append(parts, heads...)...)
 	tr.End(ref)
 	if v.s.mergeHist != nil {
 		v.s.mergeHist.ObserveDuration(time.Since(start))
@@ -658,19 +690,100 @@ func (v *View) TopKCtx(ctx context.Context, q *lemp.Matrix, k int) (lemp.TopKRow
 	return out, st, nil
 }
 
+// seedTopK is phase 1 of a sharded Row-Top-k: every shard's HeadTopK in
+// parallel (a batch holds up to BatchMax rows, too many to seed serially
+// on the dispatching goroutine), each under its own shard mutex, then the
+// per-row floors. It records one "seed" span and feeds neither the
+// per-shard scan histograms nor the shard-scan counters; the returned
+// stats carry only the seed's SeedProducts.
+func (v *View) seedTopK(ctx context.Context, q *lemp.Matrix, k int) ([]lemp.TopKRows, []float64, lemp.Stats, error) {
+	tr, parent := obs.SpanFrom(ctx)
+	ref := tr.Start("seed", parent)
+	defer tr.End(ref)
+	heads := make([]lemp.TopKRows, len(v.ixs))
+	stats := make([]lemp.Stats, len(v.ixs))
+	errs := make([]error, len(v.ixs))
+	head := func(i int) {
+		sh := v.shards[i]
+		sh.mu.Lock()
+		heads[i], stats[i], errs[i] = v.ixs[i].HeadTopK(ctx, q, k)
+		sh.mu.Unlock()
+	}
+	// The last shard runs on this goroutine.
+	var wg sync.WaitGroup
+	wg.Add(len(v.ixs) - 1)
+	for i := range v.ixs[1:] {
+		go func() {
+			defer wg.Done()
+			head(i)
+		}()
+	}
+	head(len(v.ixs) - 1)
+	wg.Wait()
+	var (
+		st    lemp.Stats
+		first error
+	)
+	for i, err := range errs {
+		st.SeedProducts += stats[i].SeedProducts
+		if first == nil {
+			first = err
+		}
+	}
+	if first != nil {
+		return nil, nil, st, first
+	}
+	return heads, kthFloors(heads, q.N(), k), st, nil
+}
+
+// kthFloors returns, per row, the k-th largest value in the union of the
+// shards' seed rows (each sorted by decreasing value), or -Inf when the
+// union holds fewer than k values. A non-finite k-th value (an overflowed
+// product) leaves the row unseeded too.
+func kthFloors(heads []lemp.TopKRows, n, k int) []float64 {
+	floors := make([]float64, n)
+	cur := make([]int, len(heads))
+	for j := range floors {
+		clear(cur)
+		f := math.Inf(-1)
+		for t := 0; t < k; t++ {
+			best := -1
+			for i, h := range heads {
+				if j < len(h) && cur[i] < len(h[j]) &&
+					(best < 0 || h[j][cur[i]].Value > heads[best][j][cur[best]].Value) {
+					best = i
+				}
+			}
+			if best < 0 {
+				f = math.Inf(-1)
+				break
+			}
+			f = heads[best][j][cur[best]].Value
+			cur[best]++
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			f = math.Inf(-1)
+		}
+		floors[j] = f
+	}
+	return floors
+}
+
 // TopK is TopKCtx with a background context.
 func (v *View) TopK(q *lemp.Matrix, k int) (lemp.TopKRows, lemp.Stats, error) {
 	return v.TopKCtx(context.Background(), q, k)
 }
 
-// pruneSet computes the shard dispatch set for an Above-θ batch under
-// cluster placement (nil = scan all shards): a shard is skipped only when
-// every query row's cone bound stays below θ, so the dispatch set is the
-// union over the coalesced batch and a pruned shard cannot contribute any
-// qualifying entry for any row. Results are byte-identical to a full
-// fan-out. Row-Top-k never prunes (the per-row cutoff is only known after
-// the merge).
-func (v *View) pruneSet(q *lemp.Matrix, theta float64) []bool {
+// pruneSet computes the shard dispatch set under cluster placement (nil =
+// scan all shards). Each row j has a cutoff: theta for an Above-θ batch
+// (floors nil), floors[j] for a seeded Row-Top-k batch. A shard is skipped
+// only when every row's cone bound stays strictly below that row's
+// cutoff, so the dispatch set is the union over the coalesced batch and a
+// pruned shard cannot contribute any qualifying entry (Above-θ) or any
+// entry at or above the floor (Row-Top-k) for any row. Results are
+// byte-identical to a full fan-out. An unseeded row (-Inf floor) keeps
+// every shard.
+func (v *View) pruneSet(q *lemp.Matrix, theta float64, floors []float64) []bool {
 	if v.cones == nil || v.s.noPrune {
 		return nil
 	}
@@ -684,9 +797,13 @@ func (v *View) pruneSet(q *lemp.Matrix, theta float64) []bool {
 	for i, c := range v.cones {
 		keep := false
 		for j := 0; j < qn && !keep; j++ {
-			// !(bound < theta) keeps NaN bounds (non-finite queries) on the
-			// scan side — only a provably sub-θ shard is skipped.
-			if !(coneBound(c, q.Vec(j), qlens[j]) < theta) {
+			cut := theta
+			if floors != nil {
+				cut = floors[j]
+			}
+			// !(bound < cut) keeps NaN bounds (non-finite queries) on the
+			// scan side — only a provably sub-cutoff shard is skipped.
+			if !(coneBound(c, q.Vec(j), qlens[j]) < cut) {
 				keep = true
 			}
 		}
@@ -711,7 +828,7 @@ func (v *View) AboveThetaCtx(ctx context.Context, q *lemp.Matrix, theta float64)
 	}
 	rows := make([][]lemp.Entry, q.N())
 	var mu sync.Mutex
-	st, err := v.fanOut(ctx, v.pruneSet(q, theta), func(sctx context.Context, _ int, ix *lemp.Index) (lemp.Stats, error) {
+	st, err := v.fanOut(ctx, v.pruneSet(q, theta, nil), lemp.Stats{}, func(sctx context.Context, _ int, ix *lemp.Index) (lemp.Stats, error) {
 		res, err := ix.RetrieveSpec(sctx, q, spec)
 		if err != nil {
 			return lemp.Stats{}, err

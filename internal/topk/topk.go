@@ -64,7 +64,13 @@ func (h *Heap) Push(id int, value float64) bool {
 // Items returns the retained items sorted by decreasing value (ties in
 // arbitrary order). The heap is consumed: it must not be used afterwards.
 func (h *Heap) Items() []Item {
-	out := make([]Item, len(h.items))
+	return h.Drain(make([]Item, len(h.items)))
+}
+
+// Drain is Items writing into dst, which must hold at least Len() items;
+// it returns dst[:Len()] and leaves the heap empty (reusable after Reset).
+func (h *Heap) Drain(dst []Item) []Item {
+	out := dst[:len(h.items)]
 	for i := len(h.items) - 1; i >= 0; i-- {
 		out[i] = h.items[0]
 		last := len(h.items) - 1

@@ -45,6 +45,7 @@ func (ix *Index) RetrieveSpec(ctx context.Context, q *Matrix, spec *Spec) (*Resu
 		Algorithm:   spec.algorithm,
 		Parallelism: spec.parallelism,
 		Cache:       spec.cache,
+		Floors:      spec.floors,
 	}
 	res := &Result{Epoch: ix.Epoch()}
 	var err error
@@ -95,6 +96,7 @@ type Spec struct {
 	cache       *TuningCache
 	approx      *ApproxOptions
 	stream      func(Entry)
+	floors      []float64
 }
 
 // Option configures one aspect of a retrieval Spec.
@@ -122,6 +124,9 @@ func NewSpec(opts ...Option) (*Spec, error) {
 	}
 	if spec.stream != nil && !spec.above {
 		return nil, fmt.Errorf("lemp: Stream applies only to AboveTheta retrieval")
+	}
+	if spec.floors != nil && (!spec.topk || spec.approx != nil) {
+		return nil, fmt.Errorf("lemp: WithSeed applies only to exact TopK retrieval")
 	}
 	spec.valid = true
 	return spec, nil
@@ -252,6 +257,50 @@ func Stream(emit func(Entry)) Option {
 		s.stream = emit
 		return nil
 	}
+}
+
+// WithSeed makes an exact TopK the second phase of a seeded retrieval
+// over a sharded catalogue. Phase 1 is HeadTopK with the same query matrix
+// and k on every shard; floors[i] is the k-th largest value in the union
+// of row i's HeadTopK rows across all shards, or -Inf when the union
+// holds fewer than k values. Such a floor is the k-th best of k real
+// entries, so it never exceeds row i's true k-th value over the whole
+// catalogue.
+//
+// The retrieval then skips the probes HeadTopK already read on this index
+// and scans the rest with row i's running bound raised to floors[i] from
+// the first bucket on, dropping only entries strictly below it. Merging
+// its rows with this index's HeadTopK rows and with every other shard's
+// (MergeTopK over all of them) gives the rows of an unseeded retrieval.
+// A floor above the true k-th value would drop true results: pass only
+// floors built as above.
+//
+// The slice is read, not copied, by every retrieval using the spec. It
+// must hold exactly one floor per query row, each finite or -Inf; that is
+// checked when the retrieval starts, before any work. Conflicts with
+// AboveTheta and Approx.
+func WithSeed(floors []float64) Option {
+	return func(s *Spec) error {
+		if floors == nil {
+			return fmt.Errorf("lemp: WithSeed needs a non-nil floor slice")
+		}
+		if s.floors != nil {
+			return fmt.Errorf("lemp: WithSeed given twice")
+		}
+		s.floors = floors
+		return nil
+	}
+}
+
+// HeadTopK is phase 1 of a seeded TopK (see WithSeed): for every query
+// row, the k largest products with the index's longest live probes — the
+// leading buckets of its scan order, until they hold max(20·k, √live) of
+// them, at most an eighth of the live probes — by decreasing value and in
+// exactly the arithmetic a TopK retrieval uses. Zero-length rows are left empty. Stats reports the
+// rows and SeedProducts. It follows the Index concurrency contract: one
+// call at a time per index.
+func (ix *Index) HeadTopK(ctx context.Context, q *Matrix, k int) (TopKRows, Stats, error) {
+	return ix.inner.HeadTopKCtx(ctx, q, k)
 }
 
 // TuningCache caches fitted per-bucket tuning parameters across retrieval

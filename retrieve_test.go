@@ -83,6 +83,12 @@ func TestNewSpecValidation(t *testing.T) {
 		{"nil-stream", []lemp.Option{lemp.AboveTheta(0.5), lemp.Stream(nil)}, "non-nil emit"},
 		{"nil-option", []lemp.Option{lemp.TopK(5), nil}, "nil Option"},
 
+		{"seed", []lemp.Option{lemp.TopK(5), lemp.WithSeed([]float64{})}, ""},
+		{"nil-seed", []lemp.Option{lemp.TopK(5), lemp.WithSeed(nil)}, "non-nil floor"},
+		{"seed-twice", []lemp.Option{lemp.TopK(5), lemp.WithSeed([]float64{}), lemp.WithSeed([]float64{})}, "given twice"},
+		{"seed-with-above", []lemp.Option{lemp.AboveTheta(0.5), lemp.WithSeed([]float64{})}, "WithSeed applies only"},
+		{"seed-with-approx", []lemp.Option{lemp.TopK(5), lemp.Approx(lemp.ApproxOptions{}), lemp.WithSeed([]float64{})}, "WithSeed applies only"},
+
 		{"approx-with-above", []lemp.Option{lemp.AboveTheta(0.5), lemp.Approx(lemp.ApproxOptions{})}, "Approx applies only"},
 		{"stream-with-topk", []lemp.Option{lemp.TopK(5), lemp.Stream(emit)}, "Stream applies only"},
 	}
@@ -120,6 +126,78 @@ func TestRetrieveRejectsBeforeWork(t *testing.T) {
 	}
 	if _, err := ix.RetrieveSpec(context.Background(), q, &lemp.Spec{}); err == nil {
 		t.Fatal("RetrieveSpec with zero spec succeeded")
+	}
+}
+
+// TestRetrieveRejectsBadSeed covers the per-call floor checks WithSeed
+// defers to the retrieval: one floor per query row, none NaN or +Inf. They
+// fail before any work — the spec's tuning cache stays empty.
+func TestRetrieveRejectsBadSeed(t *testing.T) {
+	ix, q := retrieveFixture(t)
+	floors := func(edit func([]float64)) []float64 {
+		f := make([]float64, q.N())
+		edit(f)
+		return f
+	}
+	cases := []struct {
+		name    string
+		floors  []float64
+		wantErr string
+	}{
+		{"short", make([]float64, q.N()-1), "floors for"},
+		{"long", make([]float64, q.N()+1), "floors for"},
+		{"nan", floors(func(f []float64) { f[3] = math.NaN() }), "floor 3 is NaN"},
+		{"plus-inf", floors(func(f []float64) { f[0] = math.Inf(1) }), "floor 0 is +Inf"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tc := lemp.NewTuningCache()
+			_, err := ix.Retrieve(context.Background(), q, lemp.TopK(5), lemp.WithSeed(c.floors), lemp.WithTuningCache(tc))
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("Retrieve error %v, want one containing %q", err, c.wantErr)
+			}
+			if tc.Len() != 0 {
+				t.Fatal("rejected retrieval tuned the index")
+			}
+		})
+	}
+}
+
+// TestSeededRetrieveSingleIndex runs the two seeded phases on one index:
+// HeadTopK, floors from its own rows (-Inf where a row is short, plus one
+// unseeded row), then a WithSeed TopK merged with the head rows must equal
+// a plain TopK.
+func TestSeededRetrieveSingleIndex(t *testing.T) {
+	ix, q := retrieveFixture(t)
+	for _, k := range []int{1, 7, 500} {
+		heads, st, err := ix.HeadTopK(context.Background(), q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SeedProducts == 0 {
+			t.Fatal("HeadTopK computed no products")
+		}
+		floors := make([]float64, q.N())
+		for i, row := range heads {
+			floors[i] = math.Inf(-1)
+			if len(row) == k && i != 0 {
+				floors[i] = row[k-1].Value
+			}
+		}
+		seeded, err := ix.Retrieve(context.Background(), q, lemp.TopK(k), lemp.WithSeed(floors))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := ix.Retrieve(context.Background(), q, lemp.TopK(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lemp.MergeTopK(k, seeded.TopK, heads); !reflect.DeepEqual(got, plain.TopK) {
+			t.Fatalf("k=%d: seeded rows merged with the head differ from a plain TopK", k)
+		}
+		if k < 500 && seeded.Stats.Candidates >= plain.Stats.Candidates {
+			t.Fatalf("k=%d: seeded scan verified %d candidates, plain %d", k, seeded.Stats.Candidates, plain.Stats.Candidates)
+		}
 	}
 }
 
