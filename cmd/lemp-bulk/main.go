@@ -31,6 +31,7 @@ import (
 	"syscall"
 
 	"lemp"
+	"lemp/internal/simd"
 )
 
 func main() {
@@ -72,6 +73,7 @@ func main() {
 		opts.Algorithm = &alg
 	}
 
+	fmt.Fprintf(os.Stderr, "lemp-bulk: kernels=%s\n", simd.Name())
 	src, closeSrc, err := openQueries(*qPath)
 	if err != nil {
 		fail("loading %s: %v", *qPath, err)

@@ -109,6 +109,7 @@ import (
 	"lemp"
 	"lemp/internal/data"
 	"lemp/internal/server"
+	"lemp/internal/simd"
 )
 
 // logger is the process-wide structured logger, configured from -log-level
@@ -297,6 +298,7 @@ func main() {
 		"batch_max", *batchMax,
 		"cache", cache,
 		"parallelism", par,
+		"kernels", simd.Name(),
 	)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

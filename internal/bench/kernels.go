@@ -3,111 +3,143 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
+	"lemp/internal/quant"
+	"lemp/internal/simd"
 	"lemp/internal/vecmath"
 )
 
-// Verification-kernel experiment: scalar (one Dot per candidate) versus the
-// blocked panel kernels that internal/core's verifier runs on, across the
-// dimensionality regimes the library targets and both candidate layouts the
-// verifier distinguishes — a contiguous run (LENGTH's prefix, evaluated
-// with DotBatch) and a strided subset (coordinate-method survivors,
-// evaluated with Dot8/Dot4 blocks). This is the microscopic view of the
-// speedup the BenchmarkVerify* benchmarks in internal/core measure at the
-// retrieval layer.
+// Verification-kernel experiment: the per-row cost of the two loops that
+// run once per surviving candidate — the exact f64 verify (DotBatch over a
+// contiguous run, LENGTH's prefix; DotRows over a strided subset,
+// coordinate-method survivors) and the int8 checkpoint screen in front of
+// it (quant's Filter, half the rows kept) — against the scalar loops they
+// replace: one Dot, or one UB plus the cutoff test, per row. r=50 is the
+// bulk-topk benchmark's shape. The dispatched kernels are AVX2 assembly
+// where the CPU has it; the go test microbenches in internal/vecmath and
+// internal/quant add the portable Go kernels.
 
 // kernelRows is the bucket size the kernel experiment verifies against —
 // large enough to amortize timing overhead, small enough to stay
 // cache-resident like a real LEMP bucket.
 const kernelRows = 1024
 
-// kernels measures and prints the scalar vs blocked verification
-// throughput grid.
+// kernels measures and prints the per-row kernel timing grid.
 func (r *Runner) kernels() error {
-	r.header("verification kernels (scalar vs blocked)")
-	fmt.Fprintf(r.cfg.Out, "\n%-22s %12s %12s %8s\n", "kernel", "scalar", "blocked", "speedup")
-	for _, dim := range []int{16, 64, 256} {
-		for _, layout := range []string{"contiguous", "strided"} {
-			scalar, blocked := measureKernelPair(dim, layout == "strided")
-			fmt.Fprintf(r.cfg.Out, "r=%-4d %-15s %12s %12s %7.2fx\n",
-				dim, layout, fmtDur(scalar), fmtDur(blocked),
-				float64(scalar)/float64(blocked))
+	r.header("verification kernels (scalar vs dispatched)")
+	fmt.Fprintf(r.cfg.Out, "\ndispatched kernels: %s\n\n%-26s %10s %10s %9s\n",
+		simd.Name(), "kernel (ns/row)", "scalar", "dispatched", "speedup")
+	row := func(name string, scalar, dispatched float64) {
+		fmt.Fprintf(r.cfg.Out, "%-26s %10.2f %10.2f %8.2fx\n", name, scalar, dispatched, scalar/dispatched)
+	}
+	for _, dim := range []int{16, 50, 64, 256} {
+		for _, strided := range []bool{false, true} {
+			layout := "contiguous"
+			if strided {
+				layout = "strided"
+			}
+			scalar, dispatched := measureVerifyKernels(dim, strided)
+			row(fmt.Sprintf("verify r=%d %s", dim, layout), scalar, dispatched)
 		}
+	}
+	for _, dim := range []int{50, 100} {
+		scalar, dispatched := measureScreenKernel(dim)
+		row(fmt.Sprintf("screen r=%d strided", dim), scalar, dispatched)
 	}
 	fmt.Fprintln(r.cfg.Out)
 	return nil
 }
 
-// measureKernelPair times one (dimension, layout) cell, best of several
-// rounds so scheduler noise does not pollute the printed ratio.
-func measureKernelPair(dim int, strided bool) (scalar, blocked time.Duration) {
-	rng := rand.New(rand.NewSource(int64(dim)))
-	q := make([]float64, dim)
-	for i := range q {
-		q[i] = rng.NormFloat64()
-	}
-	panel := make([]float64, kernelRows*dim)
-	for i := range panel {
-		panel[i] = rng.NormFloat64()
-	}
-	var cand []int32
-	if strided {
-		for lid := int32(0); lid < kernelRows; lid++ {
-			if rng.Intn(2) == 0 {
-				cand = append(cand, lid)
-			}
-		}
-	} else {
-		for lid := int32(0); lid < kernelRows; lid++ {
-			cand = append(cand, lid)
-		}
-	}
-	out := make([]float64, len(cand))
-	row := func(lid int32) []float64 { return panel[int(lid)*dim : (int(lid)+1)*dim] }
-
-	scalarPass := func() {
-		for j, lid := range cand {
-			out[j] = vecmath.Dot(q, row(lid))
-		}
-	}
-	blockedPass := func() {
-		if !strided {
-			vecmath.DotBatch(q, panel[:len(cand)*dim], out)
-			return
-		}
-		j := 0
-		for ; j+8 <= len(cand); j += 8 {
-			vecmath.Dot8(q, row(cand[j]), row(cand[j+1]), row(cand[j+2]), row(cand[j+3]),
-				row(cand[j+4]), row(cand[j+5]), row(cand[j+6]), row(cand[j+7]),
-				(*[8]float64)(out[j:j+8]))
-		}
-		for ; j+4 <= len(cand); j += 4 {
-			vecmath.Dot4(q, row(cand[j]), row(cand[j+1]), row(cand[j+2]), row(cand[j+3]),
-				(*[4]float64)(out[j:j+4]))
-		}
-		for ; j < len(cand); j++ {
-			out[j] = vecmath.Dot(q, row(cand[j]))
-		}
-	}
-
-	reps := 1 + (1<<22)/(len(cand)*dim+1) // ~4M elements per timed round
-	scalar, blocked = time.Duration(1<<62), time.Duration(1<<62)
+// bestPerRow times pass, best of several rounds so scheduler noise does
+// not pollute the printed ratios, in nanoseconds per row.
+func bestPerRow(rows, elems int, pass func()) float64 {
+	reps := 1 + (1<<22)/(rows*elems+1) // ~4M elements per timed round
+	best := time.Duration(1 << 62)
 	for round := 0; round < 5; round++ {
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			scalarPass()
+			pass()
 		}
-		if d := time.Since(start) / time.Duration(reps); d < scalar {
-			scalar = d
-		}
-		start = time.Now()
-		for i := 0; i < reps; i++ {
-			blockedPass()
-		}
-		if d := time.Since(start) / time.Duration(reps); d < blocked {
-			blocked = d
+		if d := time.Since(start); d < best {
+			best = d
 		}
 	}
-	return scalar, blocked
+	return float64(best.Nanoseconds()) / float64(reps*rows)
+}
+
+// kernelPanel draws a cache-resident panel and a candidate list over it:
+// every row in order, or a shuffled half.
+func kernelPanel(dim int, strided bool) (rng *rand.Rand, q, panel []float64, cand []int32) {
+	rng = rand.New(rand.NewSource(int64(dim)))
+	q = make([]float64, dim)
+	for i := range q {
+		q[i] = rng.NormFloat64()
+	}
+	panel = make([]float64, kernelRows*dim)
+	for i := range panel {
+		panel[i] = rng.NormFloat64()
+	}
+	for lid := int32(0); lid < kernelRows; lid++ {
+		if !strided || rng.Intn(2) == 0 {
+			cand = append(cand, lid)
+		}
+	}
+	if strided {
+		rng.Shuffle(len(cand), func(i, j int) { cand[i], cand[j] = cand[j], cand[i] })
+	}
+	return rng, q, panel, cand
+}
+
+func measureVerifyKernels(dim int, strided bool) (scalar, dispatched float64) {
+	_, q, panel, cand := kernelPanel(dim, strided)
+	out := make([]float64, len(cand))
+	scalar = bestPerRow(len(cand), dim, func() {
+		for j, lid := range cand {
+			out[j] = vecmath.Dot(q, panel[int(lid)*dim:(int(lid)+1)*dim])
+		}
+	})
+	dispatched = bestPerRow(len(cand), dim, func() {
+		if strided {
+			vecmath.DotRows(q, panel, cand, out)
+		} else {
+			vecmath.DotBatch(q, panel, out)
+		}
+	})
+	return scalar, dispatched
+}
+
+func measureScreenKernel(dim int) (scalar, dispatched float64) {
+	rng, q, panel, cand := kernelPanel(dim, true)
+	qq, ok := quant.QuantizeQuery(make([]int8, dim), q)
+	if !ok {
+		panic("bench: kernel query does not quantize")
+	}
+	scr := quant.QuantizeRows(panel, dim).NewScreen(qq, 1)
+	lens := make([]float64, kernelRows)
+	bounds := make([]float64, len(cand))
+	for i, l := range cand {
+		lens[l] = 0.5 + rng.Float64()
+		_, u := scr.UB(int(l))
+		bounds[i] = u * lens[l]
+	}
+	slices.Sort(bounds)
+	cut := bounds[len(bounds)/2]
+	work := make([]int32, len(cand))
+	h := quant.HeadLen(dim)
+	scalar = bestPerRow(len(cand), h, func() {
+		k := 0
+		for _, l := range cand {
+			if _, u := scr.UB(int(l)); !(u*lens[l] < cut) {
+				work[k] = l
+				k++
+			}
+		}
+	})
+	dispatched = bestPerRow(len(cand), h, func() {
+		copy(work, cand)
+		scr.Filter(work, lens, cut, nil)
+	})
+	return scalar, dispatched
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"lemp/internal/covertree"
 	"lemp/internal/l2ap"
@@ -40,6 +41,10 @@ type bucket struct {
 	sigsOnce sync.Once
 	sigs     []uint64
 
+	// built is set once any lazy index above exists; atomic because Stats
+	// read it while concurrent bulk panels may still be building one.
+	built atomic.Bool
+
 	// Tuned algorithm-selection parameters (§4.4).
 	tuned bool
 	tb    float64 // use LENGTH when θ_b(q) < tb
@@ -73,6 +78,7 @@ func (b *bucket) ensureLists() *sortedLists {
 		if b.lists == nil {
 			b.lists = buildLists(b)
 		}
+		b.built.Store(true)
 	})
 	return b.lists
 }
@@ -86,6 +92,7 @@ func (b *bucket) ensureTree() *covertree.Tree {
 			vecmath.Scale(pts.Vec(lid), b.dir(lid), b.lens[lid])
 		}
 		b.tree = covertree.Build(pts, covertree.DefaultBase)
+		b.built.Store(true)
 	})
 	return b.tree
 }
@@ -97,6 +104,7 @@ func (b *bucket) ensureL2AP(t0 float64) *l2ap.Index {
 	defer b.l2mu.Unlock()
 	if b.l2 == nil || b.l2.T0() > t0 {
 		b.l2 = l2ap.Build(b.dir, b.size(), b.r, t0)
+		b.built.Store(true)
 	}
 	return b.l2
 }
@@ -109,14 +117,13 @@ func (b *bucket) ensureSigs(h *lsh.Hasher) []uint64 {
 			sigs[lid] = h.Signature(b.dir(lid))
 		}
 		b.sigs = sigs
+		b.built.Store(true)
 	})
 	return b.sigs
 }
 
 // indexed reports whether any lazy index has been built (for Stats).
-func (b *bucket) indexed() bool {
-	return b.lists != nil || b.tree != nil || b.l2 != nil || b.sigs != nil
-}
+func (b *bucket) indexed() bool { return b.built.Load() }
 
 // lengthPrefix returns the number of leading vectors with length ≥ minLen
 // (the LENGTH scan boundary: lens is sorted decreasingly).

@@ -45,6 +45,7 @@ type scratch struct {
 	q8q     quant.Query // cached quantized query (codes alias q8codes)
 	q8qi    int32       // query (sorted index) the cache holds, -1 when empty
 	q8ok    bool        // whether that query quantized cleanly
+	q8heads []int32     // screen head dots of the kept candidates (Approx mode)
 
 	work int64 // deterministic cost counter for TuneByCost
 

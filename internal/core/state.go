@@ -292,6 +292,7 @@ func FromState(st *State) (*Index, error) {
 				return nil, fmt.Errorf("core: bucket %d sorted lists: %w", i, err)
 			}
 			b.lists = &sortedLists{n: size, vals: bs.ListVals, lids: bs.ListLids}
+			b.built.Store(true)
 		}
 		if bs.QuantScales != nil || bs.QuantCodes != nil || bs.QuantResid != nil {
 			if !opts.Quantize {

@@ -16,9 +16,10 @@ type Stats struct {
 	Results    int64
 
 	// BlockVerified and ScalarVerified split the live verified candidates
-	// by kernel: block-verified candidates went through the panel kernels
-	// (DotBatch over a contiguous run, or 8/4-wide strided blocks), scalar-
-	// verified ones were the ragged tail handled by plain Dot. Their sum
+	// by kernel: block-verified candidates went through the multi-row
+	// kernels (DotBatch over a contiguous run, DotRows over a strided
+	// list), scalar-verified ones were the portable kernel's ragged tail
+	// handled by plain Dot (the AVX2 kernel leaves none). Their sum
 	// can undershoot Candidates: tombstoned candidates are dropped before
 	// verification and counted in neither.
 	BlockVerified  int64

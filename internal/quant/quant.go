@@ -64,9 +64,26 @@
 // each of its ~10 roundings errs by at most one ulp of a quantity bounded
 // by ‖q‖·‖p‖ (every factor pair is norm-dominated), and screenSlack
 // reserves dozens of ulps beyond what the dot-accumulation bound needs.
+//
+// # Kernels
+//
+// Screen.Filter, the verifier's entry point, runs hand-written AVX2
+// assembly (screen_amd64.s) when internal/simd finds AVX2 at start-up and
+// the portable screen8 loop otherwise. The two must keep exactly the same
+// candidates, because the exact path never sees the ones they drop and the
+// exactness harnesses compare results byte for byte across machines. The
+// contract both implement: the head dot is an integer sum (its grouping
+// cannot change it); the bound is evaluated as
+// ((qs·sc0)·dh + qsqtn·sc1) + resid, in that order, one rounding per
+// multiply and add and never a fused multiply-add; and a candidate is
+// dropped only when both ordered comparisons ub ≥ −MaxFloat64 and
+// ub·len < cut hold, so a NaN anywhere keeps it.
 package quant
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // MaxDim is the largest row dimension the sidecar supports: DotQ8
 // accumulates int8 products in an int32, and 127²·2¹⁷ is the largest
@@ -375,28 +392,6 @@ func DotQ8(a, b []int8) int32 {
 	return s + s0 + s1 + s2 + s3
 }
 
-// DotQ8x4 computes four integer inner products of q against four code rows
-// at once, one independent accumulator chain per row with the shared query
-// loads amortized — the int8 mirror of vecmath.Dot4. Each out[j] is exactly
-// DotQ8(q, pj) (integer arithmetic; no grouping sensitivity). All rows must
-// have len(q) elements; DotQ8x4 panics otherwise.
-func DotQ8x4(q, p0, p1, p2, p3 []int8, out *[4]int32) {
-	r := len(q)
-	if len(p0) != r || len(p1) != r || len(p2) != r || len(p3) != r {
-		panic("quant: DotQ8x4 on code vectors of unequal length")
-	}
-	p0, p1, p2, p3 = p0[:r], p1[:r], p2[:r], p3[:r]
-	var s0, s1, s2, s3 int32
-	for i, c := range q {
-		qc := int32(c)
-		s0 += qc * int32(p0[i])
-		s1 += qc * int32(p1[i])
-		s2 += qc * int32(p2[i])
-		s3 += qc * int32(p3[i])
-	}
-	out[0], out[1], out[2], out[3] = s0, s1, s2, s3
-}
-
 // ApproxBound returns the quantized estimate of Dot(q, row_i) and a
 // conservative radius: approx−bound ≤ Dot(q, row_i) ≤ approx+bound, where
 // Dot is the float64 kernel result, not the mathematical product. When any
@@ -405,19 +400,6 @@ func DotQ8x4(q, p0, p1, p2, p3 []int8, out *[4]int32) {
 // no allocation, no f64 row access.
 func (qr *Rows) ApproxBound(qq Query, i int) (approx, bound float64) {
 	return qr.boundFromDot(qq, i, float64(DotQ8(qq.Codes, qr.Row(i))))
-}
-
-// ApproxBound4 is ApproxBound for four rows at once, with the integer dots
-// computed by the batched DotQ8x4 kernel. Each (approx[j], bound[j]) pair is
-// identical to the corresponding scalar ApproxBound call: the integer dots
-// are grouping-insensitive and the bound arithmetic is shared.
-func (qr *Rows) ApproxBound4(qq Query, i0, i1, i2, i3 int, approx, bound *[4]float64) {
-	var d [4]int32
-	DotQ8x4(qq.Codes, qr.Row(i0), qr.Row(i1), qr.Row(i2), qr.Row(i3), &d)
-	approx[0], bound[0] = qr.boundFromDot(qq, i0, float64(d[0]))
-	approx[1], bound[1] = qr.boundFromDot(qq, i1, float64(d[1]))
-	approx[2], bound[2] = qr.boundFromDot(qq, i2, float64(d[2]))
-	approx[3], bound[3] = qr.boundFromDot(qq, i3, float64(d[3]))
 }
 
 // boundFromDot evaluates the scales and the Cauchy–Schwarz bound for row i
@@ -514,117 +496,74 @@ func (s *Screen) UB(i int) (head int32, ub float64) {
 	return dh, s.bound(i, dh)
 }
 
-// UB4 is UB for four rows at once, with one pass over the query prefix and
-// four independent accumulator chains — DotQ8x4 restricted to the head,
-// inlined because this loop is the screen's cost floor and the callee is
-// too large for the compiler to inline. Each (head[j], ub[j]) pair is
-// identical to the corresponding scalar UB call.
-func (s *Screen) UB4(i0, i1, i2, i3 int, head *[4]int32, ub *[4]float64) {
+// Filter screens a whole candidate list in place, one call per (query,
+// panel) pair: it drops every lid l with UB(l)·lens[l] < cut, moves the
+// others to the front of lids in their original order and returns how
+// many it kept. lens is indexed by lid and holds nonnegative row lengths;
+// cut is the caller's emit-order cutoff. When heads is non-nil, heads[j]
+// receives kept row j's head dot, for FinishApproxBound. The AVX2 kernel
+// runs where the CPU has it, the portable screen8 loop elsewhere; both
+// keep exactly the same rows (see the package comment). Filter panics when
+// a lid is outside the panel, lens is shorter than the panel or heads
+// shorter than lids (programming errors).
+func (s *Screen) Filter(lids []int32, lens []float64, cut float64, heads []int32) int {
 	qr := s.qr
-	h, r := qr.head, qr.r
-	q := s.codes
-	p0 := qr.Codes[i0*r : i0*r+h]
-	p1 := qr.Codes[i1*r : i1*r+h]
-	p2 := qr.Codes[i2*r : i2*r+h]
-	p3 := qr.Codes[i3*r : i3*r+h]
-	p0, p1, p2, p3 = p0[:len(q)], p1[:len(q)], p2[:len(q)], p3[:len(q)]
-	var s0, s1, s2, s3 int32
+	if len(lens) < qr.n || (heads != nil && len(heads) < len(lids)) {
+		panic("quant: Filter lens or heads shorter than required")
+	}
+	for _, l := range lids {
+		if uint(l) >= uint(qr.n) {
+			panic("quant: Filter row index out of range")
+		}
+	}
+	if kept, ok := s.filterAsm(lids, lens, cut, heads); ok {
+		return kept
+	}
 	k := 0
-	// Two query elements per iteration: four rows of accumulators is the
-	// most that stays in registers (eight spills to the stack), so the
-	// remaining loop-control overhead is halved by unrolling depth instead
-	// of width.
-	for ; k+2 <= len(q); k += 2 {
-		qa, qb := int32(q[k]), int32(q[k+1])
-		s0 += qa*int32(p0[k]) + qb*int32(p0[k+1])
-		s1 += qa*int32(p1[k]) + qb*int32(p1[k+1])
-		s2 += qa*int32(p2[k]) + qb*int32(p2[k+1])
-		s3 += qa*int32(p3[k]) + qb*int32(p3[k+1])
+	i := 0
+	var dh [8]int32
+	var l8 [8]float64
+	for ; i+8 <= len(lids); i += 8 {
+		c := *(*[8]int32)(lids[i : i+8])
+		for j, l := range c {
+			l8[j] = lens[l]
+		}
+		mask := s.screen8(int(c[0]), int(c[1]), int(c[2]), int(c[3]),
+			int(c[4]), int(c[5]), int(c[6]), int(c[7]), &l8, cut, &dh)
+		for m := mask; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros8(m)
+			if heads != nil {
+				heads[k] = dh[j]
+			}
+			lids[k] = c[j]
+			k++
+		}
 	}
-	if k < len(q) {
-		qc := int32(q[k])
-		s0 += qc * int32(p0[k])
-		s1 += qc * int32(p1[k])
-		s2 += qc * int32(p2[k])
-		s3 += qc * int32(p3[k])
+	for ; i < len(lids); i++ {
+		l := int(lids[i])
+		dh := DotQ8(s.codes, qr.Codes[l*qr.r:l*qr.r+qr.head])
+		if s.keep(l, dh, lens[l], cut) == 1 {
+			if heads != nil {
+				heads[k] = dh
+			}
+			lids[k] = lids[i]
+			k++
+		}
 	}
-	head[0], head[1], head[2], head[3] = s0, s1, s2, s3
-	ub[0] = s.bound(i0, s0)
-	ub[1] = s.bound(i1, s1)
-	ub[2] = s.bound(i2, s2)
-	ub[3] = s.bound(i3, s3)
+	return k
 }
 
-// UB8 is UB for eight rows at once — one pass over the query prefix, eight
-// independent accumulator chains. Wider batching amortizes the shared query
-// loads and loop control further than UB4: the int8 head dot pays a
-// sign-extension per element on top of the multiply-add, so it needs more
-// rows in flight than the f64 kernels to reach comparable per-element cost.
-// Each (head[j], ub[j]) pair is identical to the corresponding scalar UB
-// call.
-func (s *Screen) UB8(i0, i1, i2, i3, i4, i5, i6, i7 int, head *[8]int32, ub *[8]float64) {
-	qr := s.qr
-	h, r := qr.head, qr.r
-	q := s.codes
-	p0 := qr.Codes[i0*r : i0*r+h]
-	p1 := qr.Codes[i1*r : i1*r+h]
-	p2 := qr.Codes[i2*r : i2*r+h]
-	p3 := qr.Codes[i3*r : i3*r+h]
-	p4 := qr.Codes[i4*r : i4*r+h]
-	p5 := qr.Codes[i5*r : i5*r+h]
-	p6 := qr.Codes[i6*r : i6*r+h]
-	p7 := qr.Codes[i7*r : i7*r+h]
-	p0, p1, p2, p3 = p0[:len(q)], p1[:len(q)], p2[:len(q)], p3[:len(q)]
-	p4, p5, p6, p7 = p4[:len(q)], p5[:len(q)], p6[:len(q)], p7[:len(q)]
-	var s0, s1, s2, s3, s4, s5, s6, s7 int32
-	k := 0
-	// Eight accumulators spill to the stack regardless, so unroll the query
-	// axis too: two elements per iteration halves the spill reload traffic
-	// per multiply-add.
-	for ; k+2 <= len(q); k += 2 {
-		qa, qb := int32(q[k]), int32(q[k+1])
-		s0 += qa*int32(p0[k]) + qb*int32(p0[k+1])
-		s1 += qa*int32(p1[k]) + qb*int32(p1[k+1])
-		s2 += qa*int32(p2[k]) + qb*int32(p2[k+1])
-		s3 += qa*int32(p3[k]) + qb*int32(p3[k+1])
-		s4 += qa*int32(p4[k]) + qb*int32(p4[k+1])
-		s5 += qa*int32(p5[k]) + qb*int32(p5[k+1])
-		s6 += qa*int32(p6[k]) + qb*int32(p6[k+1])
-		s7 += qa*int32(p7[k]) + qb*int32(p7[k+1])
-	}
-	if k < len(q) {
-		qc := int32(q[k])
-		s0 += qc * int32(p0[k])
-		s1 += qc * int32(p1[k])
-		s2 += qc * int32(p2[k])
-		s3 += qc * int32(p3[k])
-		s4 += qc * int32(p4[k])
-		s5 += qc * int32(p5[k])
-		s6 += qc * int32(p6[k])
-		s7 += qc * int32(p7[k])
-	}
-	head[0], head[1], head[2], head[3] = s0, s1, s2, s3
-	head[4], head[5], head[6], head[7] = s4, s5, s6, s7
-	ub[0] = s.bound(i0, s0)
-	ub[1] = s.bound(i1, s1)
-	ub[2] = s.bound(i2, s2)
-	ub[3] = s.bound(i3, s3)
-	ub[4] = s.bound(i4, s4)
-	ub[5] = s.bound(i5, s5)
-	ub[6] = s.bound(i6, s6)
-	ub[7] = s.bound(i7, s7)
-}
-
-// Screen8 evaluates the checkpoint for eight rows and applies the caller's
-// cutoff predicate in one pass, returning a survivor bitmask (bit j set =
-// row ij must be verified) and the head dots for FinishApproxBound. Row j
-// is screened exactly when bound(ij)·lens[j] < cut — the same outcome as
-// UB8 followed by the multiply in the caller, with the intermediate bound
-// array and its per-row store/reload/branch elided; in the common case the
-// mask is zero or one bit, so the caller touches survivors only. lens
-// values must be nonnegative (row lengths); cut is the caller's emit-order
-// cutoff.
-func (s *Screen) Screen8(i0, i1, i2, i3, i4, i5, i6, i7 int, lens *[8]float64, cut float64, head *[8]int32) uint8 {
+// screen8 is the portable Filter's eight-row step: it evaluates the
+// checkpoint for eight rows and applies the caller's cutoff predicate in
+// one pass, returning a survivor bitmask (bit j set = row ij must be
+// verified) and the head dots. Row j is screened exactly when
+// bound(ij)·lens[j] < cut — the same outcome as UB followed by the
+// multiply in the caller, with the intermediate bound and its per-row
+// branch elided; in the common case the mask is zero or one bit, so the
+// caller touches survivors only. The head dot pays a sign extension per
+// element on top of the multiply-add, so eight rows share each query
+// load.
+func (s *Screen) screen8(i0, i1, i2, i3, i4, i5, i6, i7 int, lens *[8]float64, cut float64, head *[8]int32) uint8 {
 	qr := s.qr
 	h, r := qr.head, qr.r
 	q := s.codes
@@ -673,44 +612,6 @@ func (s *Screen) Screen8(i0, i1, i2, i3, i4, i5, i6, i7 int, lens *[8]float64, c
 	mask |= s.keep(i5, s5, lens[5], cut) << 5
 	mask |= s.keep(i6, s6, lens[6], cut) << 6
 	mask |= s.keep(i7, s7, lens[7], cut) << 7
-	return mask
-}
-
-// Screen4 is Screen8 for four rows: the ragged-tail companion, so buckets
-// whose candidate prefix is shorter than eight rows (the common case at
-// very selective thresholds) still get batched head dots and the fused
-// predicate instead of one scalar UB per row.
-func (s *Screen) Screen4(i0, i1, i2, i3 int, lens *[4]float64, cut float64, head *[4]int32) uint8 {
-	qr := s.qr
-	h, r := qr.head, qr.r
-	q := s.codes
-	p0 := qr.Codes[i0*r : i0*r+h]
-	p1 := qr.Codes[i1*r : i1*r+h]
-	p2 := qr.Codes[i2*r : i2*r+h]
-	p3 := qr.Codes[i3*r : i3*r+h]
-	p0, p1, p2, p3 = p0[:len(q)], p1[:len(q)], p2[:len(q)], p3[:len(q)]
-	var s0, s1, s2, s3 int32
-	k := 0
-	for ; k+2 <= len(q); k += 2 {
-		qa, qb := int32(q[k]), int32(q[k+1])
-		s0 += qa*int32(p0[k]) + qb*int32(p0[k+1])
-		s1 += qa*int32(p1[k]) + qb*int32(p1[k+1])
-		s2 += qa*int32(p2[k]) + qb*int32(p2[k+1])
-		s3 += qa*int32(p3[k]) + qb*int32(p3[k+1])
-	}
-	if k < len(q) {
-		qc := int32(q[k])
-		s0 += qc * int32(p0[k])
-		s1 += qc * int32(p1[k])
-		s2 += qc * int32(p2[k])
-		s3 += qc * int32(p3[k])
-	}
-	head[0], head[1], head[2], head[3] = s0, s1, s2, s3
-	var mask uint8
-	mask |= s.keep(i0, s0, lens[0], cut) << 0
-	mask |= s.keep(i1, s1, lens[1], cut) << 1
-	mask |= s.keep(i2, s2, lens[2], cut) << 2
-	mask |= s.keep(i3, s3, lens[3], cut) << 3
 	return mask
 }
 

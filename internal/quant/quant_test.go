@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"lemp/internal/quant"
+	"lemp/internal/simd/simdtest"
 	"lemp/internal/vecmath"
 )
 
@@ -37,17 +39,41 @@ func TestDotQ8MatchesNaive(t *testing.T) {
 	}
 }
 
-// TestBatchedKernelsMatchScalar: DotQ8x4 and ApproxBound4 exist only for
-// speed — every batched result must be bit-identical to the scalar call.
-func TestBatchedKernelsMatchScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, r := range []int{1, 3, 4, 8, 16, 33, 64} {
-		rows := make([]float64, 8*r)
-		q := make([]float64, r)
-		for trial := 0; trial < 10; trial++ {
+// screenOracle is Filter's contract spelled out one row at a time with the
+// scalar UB: row l is dropped exactly when UB(l)·lens[l] < cut, and a kept
+// row reports UB's head dot.
+func screenOracle(scr *quant.Screen, lids []int32, lens []float64, cut float64) (kept, heads []int32) {
+	for _, l := range lids {
+		head, u := scr.UB(int(l))
+		if u*lens[l] < cut {
+			continue
+		}
+		kept = append(kept, l)
+		heads = append(heads, head)
+	}
+	return kept, heads
+}
+
+// TestScreenKernelExact: the dispatched list screen (AVX2 where the CPU has
+// it) and the portable one must keep exactly the candidates, in exactly the
+// order, and report exactly the head dots that the scalar UB predicate
+// does — over every dimension 1..300 (head lengths 1..50, most not a
+// multiple of the kernel's 16-element chunk), rows carrying the non-finite
+// NaN sentinels, zero lengths, cutoffs at ±Inf and NaN, and cutoffs tied
+// exactly to a row's ub·len.
+func TestScreenKernelExact(t *testing.T) {
+	simdtest.Each(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(9))
+		for r := 1; r <= 300; r++ {
+			n := 1 + rng.Intn(24)
+			rows := make([]float64, n*r)
 			for i := range rows {
 				rows[i] = rng.NormFloat64() * math.Exp(3*rng.NormFloat64())
 			}
+			if rng.Intn(3) == 0 { // a non-finite row: NaN sentinel, never screened
+				rows[rng.Intn(n)*r+rng.Intn(r)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+			}
+			q := make([]float64, r)
 			for i := range q {
 				q[i] = rng.NormFloat64()
 			}
@@ -56,76 +82,63 @@ func TestBatchedKernelsMatchScalar(t *testing.T) {
 			if !ok {
 				t.Fatalf("r=%d: query did not quantize", r)
 			}
-			var d [4]int32
-			quant.DotQ8x4(qq.Codes, qr.Row(4), qr.Row(1), qr.Row(7), qr.Row(2), &d)
-			for j, i := range [4]int{4, 1, 7, 2} {
-				if want := quant.DotQ8(qq.Codes, qr.Row(i)); d[j] != want {
-					t.Fatalf("r=%d: DotQ8x4[%d] = %d, DotQ8 = %d", r, j, d[j], want)
+			lens := make([]float64, n)
+			for i := range lens {
+				if rng.Intn(5) > 0 {
+					lens[i] = rng.ExpFloat64()
 				}
 			}
-			var ap, bd [4]float64
-			qr.ApproxBound4(qq, 3, 0, 6, 5, &ap, &bd)
-			for j, i := range [4]int{3, 0, 6, 5} {
-				wantA, wantB := qr.ApproxBound(qq, i)
-				if ap[j] != wantA || bd[j] != wantB {
-					t.Fatalf("r=%d row %d: ApproxBound4 = (%v, %v), ApproxBound = (%v, %v)",
-						r, i, ap[j], bd[j], wantA, wantB)
-				}
+			lids := make([]int32, rng.Intn(2*n+9))
+			for i := range lids {
+				lids[i] = int32(rng.Intn(n))
 			}
-			scr := qr.NewScreen(qq, 1)
-			var dh [4]int32
-			var ub [4]float64
-			scr.UB4(2, 6, 0, 7, &dh, &ub)
-			for j, i := range [4]int{2, 6, 0, 7} {
-				wantH, wantU := scr.UB(i)
-				if dh[j] != wantH || ub[j] != wantU {
-					t.Fatalf("r=%d row %d: UB4 = (%d, %v), UB = (%d, %v)",
-						r, i, dh[j], ub[j], wantH, wantU)
+			for _, emit := range []float64{1, 2.5, math.Inf(1), math.NaN()} {
+				scr := qr.NewScreen(qq, emit)
+				cuts := []float64{math.Inf(-1), math.Inf(1), math.NaN(), 0, -1, 1, 10}
+				for _, l := range lids[:min(len(lids), 3)] {
+					_, u := scr.UB(int(l))
+					cuts = append(cuts, u*lens[l]) // a tie: must be kept
 				}
-			}
-			var dh8 [8]int32
-			var ub8 [8]float64
-			scr.UB8(5, 2, 7, 0, 3, 6, 1, 4, &dh8, &ub8)
-			for j, i := range [8]int{5, 2, 7, 0, 3, 6, 1, 4} {
-				wantH, wantU := scr.UB(i)
-				if dh8[j] != wantH || ub8[j] != wantU {
-					t.Fatalf("r=%d row %d: UB8 = (%d, %v), UB = (%d, %v)",
-						r, i, dh8[j], ub8[j], wantH, wantU)
-				}
-			}
-			// Screen8's fused predicate must reach the same screen/survive
-			// decision as UB followed by the caller-side multiply, across
-			// cutoffs that land inside and outside the bound range.
-			lens := [8]float64{0.3, 1.7, 0, 2.4, 0.9, 5.1, 1.0, 0.04}
-			for _, cut := range []float64{-10, -0.1, 0, 0.1, 1, 10, math.Inf(1)} {
-				var sdh [8]int32
-				mask := scr.Screen8(5, 2, 7, 0, 3, 6, 1, 4, &lens, cut, &sdh)
-				if sdh != dh8 {
-					t.Fatalf("r=%d: Screen8 head dots %v, UB8 %v", r, sdh, dh8)
-				}
-				for j, i := range [8]int{5, 2, 7, 0, 3, 6, 1, 4} {
-					_, u := scr.UB(i)
-					want := uint8(1)
-					if u*lens[j] < cut {
-						want = 0
+				for _, cut := range cuts {
+					wantKept, wantHeads := screenOracle(&scr, lids, lens, cut)
+					got := append([]int32(nil), lids...)
+					heads := make([]int32, len(got))
+					k := scr.Filter(got, lens, cut, heads)
+					if k != len(wantKept) || !slices.Equal(got[:k], wantKept) || !slices.Equal(heads[:k], wantHeads) {
+						t.Fatalf("r=%d emit=%v cut=%v: Filter kept %v heads %v, oracle %v heads %v",
+							r, emit, cut, got[:k], heads[:k], wantKept, wantHeads)
 					}
-					if got := (mask >> j) & 1; got != want {
-						t.Fatalf("r=%d row %d cut %v: Screen8 keep = %d, UB predicate = %d",
-							r, i, cut, got, want)
+					got = append(got[:0], lids...)
+					if k2 := scr.Filter(got, lens, cut, nil); k2 != k || !slices.Equal(got[:k2], wantKept) {
+						t.Fatalf("r=%d emit=%v cut=%v: Filter without heads kept %v, oracle %v", r, emit, cut, got[:k2], wantKept)
 					}
-				}
-				lens4 := [4]float64{lens[0], lens[1], lens[2], lens[3]}
-				var sdh4 [4]int32
-				mask4 := scr.Screen4(5, 2, 7, 0, &lens4, cut, &sdh4)
-				if [4]int32{sdh[0], sdh[1], sdh[2], sdh[3]} != sdh4 {
-					t.Fatalf("r=%d: Screen4 head dots %v, Screen8 %v", r, sdh4, sdh)
-				}
-				if mask4 != mask&0x0f {
-					t.Fatalf("r=%d cut %v: Screen4 mask %04b, Screen8 low bits %04b",
-						r, cut, mask4, mask&0x0f)
 				}
 			}
 		}
+	})
+}
+
+// TestScreenFilterPanics: a lid outside the panel or short lens/heads
+// slices are programming errors the kernel must never see.
+func TestScreenFilterPanics(t *testing.T) {
+	qr := quant.QuantizeRows(make([]float64, 4*20), 20)
+	qq, _ := quant.QuantizeQuery(make([]int8, 20), make([]float64, 20))
+	scr := qr.NewScreen(qq, 1)
+	lens := make([]float64, 4)
+	for name, fn := range map[string]func(){
+		"lid":   func() { scr.Filter([]int32{0, 4}, lens, 0, nil) },
+		"neg":   func() { scr.Filter([]int32{-1}, lens, 0, nil) },
+		"lens":  func() { scr.Filter([]int32{0}, lens[:3], 0, nil) },
+		"heads": func() { scr.Filter([]int32{0, 1}, lens, 0, make([]int32, 1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }
 
@@ -460,55 +473,6 @@ func BenchmarkDotQ8(b *testing.B) {
 			var sink int32
 			for i := 0; i < b.N; i++ {
 				sink += quant.DotQ8(x, y)
-			}
-			_ = sink
-		})
-	}
-}
-
-func BenchmarkDotQ8x4(b *testing.B) {
-	for _, r := range []int{16, 64, 256} {
-		rng := rand.New(rand.NewSource(5))
-		q := make([]int8, r)
-		rows := make([]int8, 4*r)
-		for i := range q {
-			q[i] = int8(rng.Intn(255) - 127)
-		}
-		for i := range rows {
-			rows[i] = int8(rng.Intn(255) - 127)
-		}
-		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
-			b.SetBytes(int64(5 * r))
-			var out [4]int32
-			for i := 0; i < b.N; i++ {
-				quant.DotQ8x4(q, rows[0:r], rows[r:2*r], rows[2*r:3*r], rows[3*r:4*r], &out)
-			}
-			_ = out
-		})
-	}
-}
-
-func BenchmarkApproxBound4(b *testing.B) {
-	for _, r := range []int{16, 64, 256} {
-		rng := rand.New(rand.NewSource(6))
-		n := 1024
-		rows := make([]float64, n*r)
-		for i := range rows {
-			rows[i] = rng.NormFloat64()
-		}
-		qr := quant.QuantizeRows(rows, r)
-		q := make([]float64, r)
-		for i := range q {
-			q[i] = rng.NormFloat64()
-		}
-		qq, _ := quant.QuantizeQuery(make([]int8, r), q)
-		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
-			var ap, bd [4]float64
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				j := (i * 4) % (n - 4)
-				qr.ApproxBound4(qq, j, j+1, j+2, j+3, &ap, &bd)
-				sink += ap[0] + bd[3]
 			}
 			_ = sink
 		})

@@ -16,6 +16,7 @@ import (
 
 	"lemp"
 	"lemp/internal/obs"
+	"lemp/internal/simd"
 )
 
 // Config sizes a Server. The zero value is usable: it means 1 shard, no
@@ -877,6 +878,7 @@ type statsResponse struct {
 	BatchMode     string    `json:"batch_mode"`
 	Shed          shedInfo  `json:"shed"`
 	Placement     string    `json:"placement"`
+	Kernels       string    `json:"kernels"` // "avx2" or "generic": the verify and screen kernels in use
 	CostSkew      float64   `json:"cost_skew"`
 	ShardsScanned uint64    `json:"shards_scanned"`
 	ShardsPruned  uint64    `json:"shards_pruned"`
@@ -970,6 +972,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			DispatchIdleNS: int64(s.metrics.dispatchIdle.Value()),
 		},
 		Placement:     string(s.sharded.Placement()),
+		Kernels:       simd.Name(),
 		CostSkew:      s.sharded.CostSkew(),
 		ShardsScanned: s.sharded.ShardsScanned(),
 		ShardsPruned:  s.sharded.ShardsPruned(),

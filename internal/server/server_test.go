@@ -282,6 +282,9 @@ func TestHealthzAndStats(t *testing.T) {
 	if st.Core.Queries == 0 || st.Core.Results == 0 || st.Core.Buckets == 0 {
 		t.Errorf("core stats not accumulated: %+v", st.Core)
 	}
+	if st.Kernels != "avx2" && st.Kernels != "generic" {
+		t.Errorf("stats kernels = %q, want avx2 or generic", st.Kernels)
+	}
 }
 
 // TestBadRequests checks input validation.

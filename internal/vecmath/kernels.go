@@ -4,17 +4,21 @@ package vecmath
 // product per candidate that survived bucket-level pruning — is a dense
 // panel-times-vector product in disguise: the probe directions of one bucket
 // are contiguous rows, and a candidate set is a (possibly strided) selection
-// of them. Evaluating several rows per pass with one independent accumulator
-// chain per row keeps the floating-point units busy while the single shared
-// query vector stays in registers, the same panel-at-a-time structure blocked
-// sparse/dense multiplication kernels use.
+// of them. Both entry points take a whole candidate list per call and run
+// several rows per pass, one independent accumulator chain per row, while
+// the shared query stays in registers: AVX2 assembly (kernels_amd64.s, one
+// YMM lane per row) when internal/simd finds AVX2, the portable dot8
+// elsewhere. The choice is read once per call.
 //
-// Bit-exactness contract: every kernel accumulates each row in exactly the
-// order Dot uses (unrolled by four within one row, sequential tail), so for
-// any row the blocked result is bit-identical to calling Dot on that row.
-// Only the *interleaving across rows* changes, which no result depends on.
-// Exactness-asserted paths (the differential mutation harness) therefore see
-// byte-identical output from the blocked and scalar verifiers.
+// Bit-exactness contract, binding on both: every row is accumulated in
+// Dot's order — s += ((q0·p0 + q1·p1) + q2·p2) + q3·p3 per group of four,
+// then a sequential tail — with one rounding per multiply and per add, so
+// the assembly uses VMULPD and VADDPD and never FMA (the Go compiler emits
+// no FMA for the Go code on amd64, at GOAMD64=v1 or v3). Each row's result
+// is then bit-identical to Dot on that row, and exactness-asserted paths
+// (the differential mutation harness) see byte-identical output whichever
+// kernel runs. Only a NaN's payload is not pinned: the compiler may commute
+// a scalar add's operands, which decides which NaN propagates.
 
 // DotBatch computes the inner product of q against every row of a contiguous
 // row-panel: out[i] = Dot(q, panel[i*r:(i+1)*r]) for r = len(q). The panel
@@ -26,69 +30,67 @@ func DotBatch(q, panel, out []float64) {
 	if len(panel) != len(out)*r {
 		panic("vecmath: DotBatch panel size does not match len(out) rows")
 	}
-	if r == 0 {
-		for i := range out {
-			out[i] = 0
-		}
-		return
+	dotRows(q, panel, nil, out)
+}
+
+// DotRows computes the inner product of q against a strided selection of
+// rows from a contiguous row-panel: out[i] = Dot(q, rows[l*r:(l+1)*r]) with
+// l = lids[i] and r = len(q), bit-identical to one Dot call per row. It
+// serves candidate lists in generator order, with gaps and in any order.
+// len(out) must equal len(lids) and every lid must name a whole row of
+// rows; DotRows panics otherwise. It returns how many rows a multi-row
+// kernel computed; the others (a ragged tail of the portable kernel) went
+// through Dot one at a time.
+func DotRows(q, rows []float64, lids []int32, out []float64) (blocked int) {
+	r := len(q)
+	if len(lids) != len(out) {
+		panic("vecmath: DotRows with len(out) != len(lids)")
 	}
-	n := len(out)
+	if r > 0 {
+		n := len(rows) / r
+		for _, l := range lids {
+			if uint(l) >= uint(n) {
+				panic("vecmath: DotRows row index out of range")
+			}
+		}
+	}
+	return dotRows(q, rows, lids, out)
+}
+
+// dotRows is the body of DotBatch and DotRows: row i is rows[l*r:][:r]
+// with l = lids[i], or l = i when lids is nil. It returns how many rows a
+// multi-row kernel computed.
+func dotRows(q, rows []float64, lids []int32, out []float64) (blocked int) {
+	if dotRowsAsm(q, rows, lids, out) {
+		return len(out)
+	}
+	r := len(q)
+	row := func(i int) []float64 {
+		if lids != nil {
+			i = int(lids[i])
+		}
+		return rows[i*r : i*r+r]
+	}
 	i := 0
-	for ; i+8 <= n; i += 8 {
-		p := panel[i*r : (i+8)*r]
-		Dot8(q,
-			p[0*r:1*r], p[1*r:2*r], p[2*r:3*r], p[3*r:4*r],
-			p[4*r:5*r], p[5*r:6*r], p[6*r:7*r], p[7*r:8*r],
+	for ; i+8 <= len(out); i += 8 {
+		dot8(q, row(i), row(i+1), row(i+2), row(i+3), row(i+4), row(i+5), row(i+6), row(i+7),
 			(*[8]float64)(out[i:i+8]))
 	}
-	for ; i+4 <= n; i += 4 {
-		p := panel[i*r : (i+4)*r]
-		Dot4(q, p[0*r:1*r], p[1*r:2*r], p[2*r:3*r], p[3*r:4*r],
-			(*[4]float64)(out[i:i+4]))
+	for j := i; j < len(out); j++ {
+		out[j] = Dot(q, row(j))
 	}
-	for ; i < n; i++ {
-		out[i] = Dot(q, panel[i*r:(i+1)*r])
-	}
+	return i
 }
 
-// Dot4 computes four inner products of q against four rows at once, for
-// strided candidate sets whose rows are not adjacent in memory: out[j] =
-// Dot(q, pj), bit-identical to four scalar Dot calls. All rows must have
-// len(q) elements; Dot4 panics otherwise.
-func Dot4(q, p0, p1, p2, p3 []float64, out *[4]float64) {
-	r := len(q)
-	if len(p0) != r || len(p1) != r || len(p2) != r || len(p3) != r {
-		panic("vecmath: Dot4 on rows of unequal length")
-	}
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= r; i += 4 {
-		qq := q[i : i+4 : i+4]
-		q0, q1, q2, q3 := qq[0], qq[1], qq[2], qq[3]
-		s0 += q0*p0[i] + q1*p0[i+1] + q2*p0[i+2] + q3*p0[i+3]
-		s1 += q0*p1[i] + q1*p1[i+1] + q2*p1[i+2] + q3*p1[i+3]
-		s2 += q0*p2[i] + q1*p2[i+1] + q2*p2[i+2] + q3*p2[i+3]
-		s3 += q0*p3[i] + q1*p3[i+1] + q2*p3[i+2] + q3*p3[i+3]
-	}
-	for ; i < r; i++ {
-		x := q[i]
-		s0 += x * p0[i]
-		s1 += x * p1[i]
-		s2 += x * p2[i]
-		s3 += x * p3[i]
-	}
-	out[0], out[1], out[2], out[3] = s0, s1, s2, s3
-}
-
-// Dot8 is Dot4 widened to eight rows: out[j] = Dot(q, pj), bit-identical to
-// eight scalar Dot calls. Eight accumulator chains hide more floating-point
-// latency than four on wide cores; DotBatch and the blocked verifier prefer
-// it and fall back to Dot4/Dot for the tail.
-func Dot8(q, p0, p1, p2, p3, p4, p5, p6, p7 []float64, out *[8]float64) {
+// dot8 is the portable multi-row kernel: out[j] = Dot(q, pj) for eight
+// rows at once, bit-identical to eight scalar Dot calls. Eight
+// accumulator chains hide the floating-point latency a single Dot chain
+// exposes. All rows must have len(q) elements; dot8 panics otherwise.
+func dot8(q, p0, p1, p2, p3, p4, p5, p6, p7 []float64, out *[8]float64) {
 	r := len(q)
 	if len(p0) != r || len(p1) != r || len(p2) != r || len(p3) != r ||
 		len(p4) != r || len(p5) != r || len(p6) != r || len(p7) != r {
-		panic("vecmath: Dot8 on rows of unequal length")
+		panic("vecmath: dot8 on rows of unequal length")
 	}
 	var s0, s1, s2, s3, s4, s5, s6, s7 float64
 	i := 0

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"lemp/internal/simd/simdtest"
 )
 
 // naiveDot is the straight-line reference the blocked kernels are
@@ -44,55 +46,188 @@ func genVec(rng *rand.Rand, n int) []float64 {
 // iterations with ragged tails.
 var kernelLengths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 50, 64, 65}
 
+// sameBits reports whether a kernel result matches the Dot oracle: the
+// same bits, or NaN on both sides (the payload of a NaN is not part of the
+// contract; see kernels.go).
+func sameBits(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
+}
+
 // TestDotBatchBitIdenticalToDot is the exactness contract of the blocked
 // verifier: for every row, DotBatch must produce the same bits as the seed
 // Dot implementation — the differential mutation harness asserts
 // byte-identical retrieval results, so any last-ulp drift here would surface
 // as a correctness failure there.
 func TestDotBatchBitIdenticalToDot(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, r := range kernelLengths {
-		for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 33} {
-			q := genVec(rng, r)
-			panel := make([]float64, rows*r)
-			for i := range panel {
-				panel[i] = rng.NormFloat64()
-			}
-			out := make([]float64, rows)
-			DotBatch(q, panel, out)
-			for i := 0; i < rows; i++ {
-				want := Dot(q, panel[i*r:(i+1)*r])
-				if math.Float64bits(out[i]) != math.Float64bits(want) {
-					t.Fatalf("r=%d rows=%d row %d: DotBatch %x, Dot %x",
-						r, rows, i, math.Float64bits(out[i]), math.Float64bits(want))
+	simdtest.Each(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		for _, r := range kernelLengths {
+			for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 33} {
+				q := genVec(rng, r)
+				panel := make([]float64, rows*r)
+				for i := range panel {
+					panel[i] = rng.NormFloat64()
+				}
+				out := make([]float64, rows)
+				DotBatch(q, panel, out)
+				for i := 0; i < rows; i++ {
+					want := Dot(q, panel[i*r:(i+1)*r])
+					if math.Float64bits(out[i]) != math.Float64bits(want) {
+						t.Fatalf("r=%d rows=%d row %d: DotBatch %x, Dot %x",
+							r, rows, i, math.Float64bits(out[i]), math.Float64bits(want))
+					}
 				}
 			}
+		}
+	})
+}
+
+// hardValue draws a coordinate from the classes that break a kernel whose
+// rounding differs from Dot's: signed zeros, subnormals, huge and tiny
+// magnitudes (±2^±100, whose products cancel and overflow), values near
+// the overflow threshold, infinities and NaN, mixed with ordinary ones.
+func hardValue(rng *rand.Rand) float64 {
+	sign := 1.0
+	if rng.Intn(2) == 0 {
+		sign = -1
+	}
+	switch rng.Intn(12) {
+	case 0:
+		return math.Copysign(0, sign)
+	case 1:
+		return sign * math.Float64frombits(uint64(rng.Int63n(1<<52-1)+1)) // subnormal
+	case 2:
+		return sign * math.Ldexp(1+rng.Float64(), 100)
+	case 3:
+		return sign * math.Ldexp(1+rng.Float64(), -100)
+	case 4:
+		return sign * math.Ldexp(1+rng.Float64(), 1000)
+	case 5:
+		if rng.Intn(8) == 0 {
+			return math.Inf(int(sign))
+		}
+		if rng.Intn(8) == 0 {
+			return math.NaN()
+		}
+		return sign * rng.Float64()
+	default:
+		return rng.NormFloat64()
+	}
+}
+
+// checkVerifyKernels compares DotBatch and DotRows on panel against one
+// Dot per row, under whichever kernel family is active.
+func checkVerifyKernels(t *testing.T, q, panel []float64, lids []int32) {
+	t.Helper()
+	r := len(q)
+	rows := 0
+	if r > 0 {
+		rows = len(panel) / r
+	}
+	out := make([]float64, rows)
+	DotBatch(q, panel[:rows*r], out)
+	for i := range out {
+		if want := Dot(q, panel[i*r:(i+1)*r]); !sameBits(out[i], want) {
+			t.Fatalf("r=%d DotBatch row %d: %x, Dot %x", r, i, math.Float64bits(out[i]), math.Float64bits(want))
+		}
+	}
+	out = make([]float64, len(lids))
+	if blocked := DotRows(q, panel, lids, out); blocked < 0 || blocked > len(lids) {
+		t.Fatalf("r=%d DotRows blocked count %d of %d rows", r, blocked, len(lids))
+	}
+	for i, l := range lids {
+		if want := Dot(q, panel[int(l)*r:int(l+1)*r]); !sameBits(out[i], want) {
+			t.Fatalf("r=%d DotRows row %d (lid %d): %x, Dot %x", r, i, l, math.Float64bits(out[i]), math.Float64bits(want))
 		}
 	}
 }
 
-func TestDot4Dot8BitIdenticalToDot(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, r := range kernelLengths {
-		q := genVec(rng, r)
-		rows := make([][]float64, 8)
-		for i := range rows {
-			rows[i] = genVec(rng, r)
-		}
-		var out4 [4]float64
-		Dot4(q, rows[0], rows[1], rows[2], rows[3], &out4)
-		var out8 [8]float64
-		Dot8(q, rows[0], rows[1], rows[2], rows[3], rows[4], rows[5], rows[6], rows[7], &out8)
-		for i := 0; i < 8; i++ {
-			want := math.Float64bits(Dot(q, rows[i]))
-			if i < 4 && math.Float64bits(out4[i]) != want {
-				t.Fatalf("r=%d Dot4 row %d: %x, Dot %x", r, i, math.Float64bits(out4[i]), want)
+// TestVerifyKernelExact sweeps every dimension 0..70 (every r mod 4, and
+// r < 4 where only the sequential tail runs) over adversarial values and
+// shuffled, gapped, repeated row lists of 0..26 rows (around the row-group
+// widths 4 and 8), and requires both verify kernels to reproduce Dot bit
+// for bit.
+func TestVerifyKernelExact(t *testing.T) {
+	simdtest.Each(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(15))
+		for r := 0; r <= 70; r++ {
+			for trial := 0; trial < 30; trial++ {
+				nRows := 1 + rng.Intn(13)
+				q := make([]float64, r)
+				for i := range q {
+					q[i] = hardValue(rng)
+				}
+				panel := make([]float64, nRows*r)
+				for i := range panel {
+					panel[i] = hardValue(rng)
+				}
+				// Exact cancellation: a row that negates another row's
+				// huge coordinates, so partial sums swing through ±2^200.
+				if nRows > 1 && r > 0 {
+					for i := 0; i < r; i++ {
+						panel[r+i] = -panel[i]
+						if i%3 == 0 {
+							panel[r+i] = math.Ldexp(panel[r+i], -1)
+						}
+					}
+				}
+				lids := make([]int32, rng.Intn(2*nRows+1))
+				for i := range lids {
+					lids[i] = int32(rng.Intn(nRows))
+				}
+				checkVerifyKernels(t, q, panel, lids)
 			}
-			if math.Float64bits(out8[i]) != want {
-				t.Fatalf("r=%d Dot8 row %d: %x, Dot %x", r, i, math.Float64bits(out8[i]), want)
-			}
 		}
+	})
+}
+
+// FuzzVerifyKernelExact feeds raw bit patterns to both verify kernels: the
+// first byte picks the dimension, the rest become float64 coordinates
+// (query first, then rows) and row indices. The dispatched kernels must
+// match Dot bit for bit on every input.
+func FuzzVerifyKernelExact(f *testing.F) {
+	f.Add([]byte{5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
+	f.Add(append([]byte{3}, make([]byte, 8*12)...))
+	seed := make([]byte, 1+8*60)
+	seed[0] = 9
+	for i := 1; i < len(seed); i++ {
+		seed[i] = byte(i * 37)
 	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		r := int(data[0]) % 71
+		data = data[1:]
+		words := make([]float64, len(data)/8)
+		for i := range words {
+			var bits uint64
+			for b := 0; b < 8; b++ {
+				bits |= uint64(data[8*i+b]) << (8 * b)
+			}
+			words[i] = math.Float64frombits(bits)
+		}
+		if len(words) < r {
+			return
+		}
+		q, panel := words[:r], words[r:]
+		nRows := 0
+		if r > 0 {
+			nRows = len(panel) / r
+		}
+		var lids []int32
+		for i := 0; nRows > 0 && i < 2*nRows; i++ {
+			lids = append(lids, int32(int(data[i%len(data)])%nRows))
+		}
+		for _, avx := range []bool{true, false} {
+			if avx {
+				checkVerifyKernels(t, q, panel, lids)
+			} else {
+				simdtest.Portable(func() { checkVerifyKernels(t, q, panel, lids) })
+			}
+		}
+	})
 }
 
 // TestKernelsMatchNaiveReference checks tolerance-bounded agreement with the
@@ -200,11 +335,11 @@ func TestKernelsZeroVector(t *testing.T) {
 func TestKernelsNonFiniteBoundary(t *testing.T) {
 	q := []float64{1, math.NaN(), 2, 3, 4}
 	row := []float64{5, 6, 7, 8, 9}
-	var out [4]float64
-	Dot4(q, row, row, row, row, &out)
+	out := make([]float64, 4)
+	DotRows(q, row, []int32{0, 0, 0, 0}, out)
 	for i, v := range out {
 		if !math.IsNaN(v) {
-			t.Fatalf("Dot4 row %d with NaN query: %g", i, v)
+			t.Fatalf("DotRows row %d with NaN query: %g", i, v)
 		}
 	}
 	qInf := []float64{1, math.Inf(1), 2, 3, 4}
@@ -231,15 +366,9 @@ func TestKernelsPanicOnShapeMismatch(t *testing.T) {
 		fn   func()
 	}{
 		{"DotBatch", func() { DotBatch(make([]float64, 3), make([]float64, 7), make([]float64, 2)) }},
-		{"Dot4", func() {
-			var out [4]float64
-			Dot4(make([]float64, 3), make([]float64, 3), make([]float64, 2), make([]float64, 3), make([]float64, 3), &out)
-		}},
-		{"Dot8", func() {
-			var out [8]float64
-			p := make([]float64, 3)
-			Dot8(make([]float64, 3), p, p, p, p, p, p, p, make([]float64, 4), &out)
-		}},
+		{"DotRows length", func() { DotRows(make([]float64, 3), make([]float64, 9), []int32{0, 1}, make([]float64, 3)) }},
+		{"DotRows row range", func() { DotRows(make([]float64, 3), make([]float64, 8), []int32{0, 2}, make([]float64, 2)) }},
+		{"DotRows negative row", func() { DotRows(make([]float64, 3), make([]float64, 9), []int32{-1}, make([]float64, 1)) }},
 		{"DotNorm2", func() { DotNorm2(make([]float64, 3), make([]float64, 4)) }},
 	}
 	for _, c := range cases {

@@ -16,8 +16,9 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	// Unrolled by four: measurably faster than the naive loop for the
-	// r in [10,500] regime this library targets, and exact bit-for-bit
-	// accumulation order is not part of the API contract.
+	// r in [10,500] regime this library targets. This accumulation order
+	// is the oracle of the blocked kernels (kernels.go), which reproduce
+	// it bit for bit; changing it means changing them.
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
 		s += a[i]*b[i] + a[i+1]*b[i+1] + a[i+2]*b[i+2] + a[i+3]*b[i+3]
